@@ -185,11 +185,6 @@ class Binary:
             return []
         return self.instr_at(addr).probes
 
-    def dloc_at(self, addr: int):
-        if not self.has_addr(addr):
-            return None
-        return self.instr_at(addr).dloc
-
     def instructions_in_range(self, begin: int, end: int) -> List[MInstr]:
         """Instructions with begin <= addr <= end (inclusive, like LBR ranges).
 

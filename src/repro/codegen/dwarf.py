@@ -14,7 +14,7 @@ point; the *ratio* against text and probe metadata (Fig. 9) is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..ir.debug_info import DebugLoc
 from .binary import Binary
@@ -51,9 +51,6 @@ class DwarfInfo:
     def __init__(self) -> None:
         self.rows: Dict[int, LineRow] = {}
         self.size_bytes = 0
-
-    def row_at(self, addr: int) -> Optional[LineRow]:
-        return self.rows.get(addr)
 
 
 def build_dwarf(binary: Binary) -> DwarfInfo:

@@ -141,9 +141,6 @@ class GenerationManager:
         return generation
 
     # -- queries ------------------------------------------------------------
-    def generations_of(self, name: str) -> List[ProfileGeneration]:
-        return list(self._generations.get(name, []))
-
     def count_for(self, name: str) -> int:
         return self._counter.get(name, 0)
 

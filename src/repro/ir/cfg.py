@@ -1,8 +1,11 @@
 """CFG analyses: predecessors, reverse post-order, dominators, natural loops.
 
 These are the minimum analyses the optimization passes need.  They are
-recomputed on demand (the IR is small enough that caching would only add
-invalidation bugs).
+recomputed on demand; no cache lives on the IR, so no pass can read a stale
+one.  A pass may hold a result across its own edits when it knows they leave
+it valid: LICM computes the dominator sets once per function and reuses them
+until it inserts a preheader, which it adds to them in place (hoisting never
+changes the CFG).
 """
 
 from __future__ import annotations
@@ -151,12 +154,15 @@ class Loop:
         return f"<Loop header={self.header} blocks={sorted(self.body)}>"
 
 
-def natural_loops(fn: Function) -> List[Loop]:
+def natural_loops(fn: Function,
+                  dom: Optional[Dict[str, Set[str]]] = None) -> List[Loop]:
     """Find natural loops via back edges (tail dominated by head).
 
     Loops sharing a header are merged, matching LLVM's LoopInfo behaviour.
+    ``dom`` is ``dominators(fn)`` when the caller already holds it.
     """
-    dom = dominators(fn)
+    if dom is None:
+        dom = dominators(fn)
     preds = predecessors_map(fn)
     reachable = set(dom)
     loops: Dict[str, Loop] = {}

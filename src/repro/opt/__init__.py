@@ -11,7 +11,8 @@ from .inliner import (CALLEE_SIZE_LIMIT, CALLER_SIZE_LIMIT, InlineResult,
 from .layout import (block_layout, edge_weights, ext_tsp_layout_function,
                      ext_tsp_score, split_hot_cold_function)
 from .licm import licm, licm_function
-from .liveness import LivenessInfo, compute_liveness, registers_of
+from .liveness import (LivenessInfo, compute_liveness, live_in_any,
+                       registers_of)
 from .loop_unroll import loop_unroll, unroll_function
 from .pass_manager import OptConfig, PassManager
 from .pipeline import build_pass_manager, optimize_module
@@ -29,7 +30,8 @@ __all__ = [
     "dead_function_elimination", "edge_weights",
     "ext_tsp_layout_function", "ext_tsp_score", "fold_forwarding_blocks",
     "function_size", "if_convert", "if_convert_function", "inline_call",
-    "licm", "licm_function", "loop_unroll", "merge_straightline_blocks",
+    "licm", "licm_function", "live_in_any", "loop_unroll",
+    "merge_straightline_blocks",
     "optimize_module", "registers_of", "remove_unreachable_blocks",
     "reachable_functions", "run_bottom_up_inliner", "should_inline_profiled", "should_inline_static",
     "simplify_cfg", "simplify_cfg_function", "split_hot_cold_function",

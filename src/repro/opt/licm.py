@@ -13,7 +13,17 @@ instruction ``I`` defining ``r`` out of loop ``L``):
 * all register operands of ``I`` are loop-invariant (no definition in ``L``);
 * ``r`` has exactly one definition inside ``L`` (``I`` itself);
 * every use of ``r`` inside ``L`` is dominated by ``I``;
-* ``r`` is dead after the loop, or ``I``'s block dominates every loop exit.
+* ``I``'s block dominates every loop exit, or ``r`` is dead after the loop.
+
+Analysis reuse: a hoist only moves a non-terminator into the preheader, so it
+never changes the CFG.  The dominator sets are therefore computed once per
+function and reused until a preheader is inserted, which updates them in
+place (the new block is dominated by what dominates all its predecessors,
+and dominates every block the header dominates).  The store/call summary and
+the exit edges of a loop are computed once per loop, its definition counts
+are decremented on each hoist, and the "dead after the loop" rule asks
+:func:`~repro.opt.liveness.live_in_any` about the one register ``r``, only
+when the cheaper dominance rule fails.
 """
 
 from __future__ import annotations
@@ -23,18 +33,25 @@ from typing import Dict, List, Optional, Set, Tuple
 from .. import telemetry
 from ..ir.cfg import Loop, dominators, loop_exits, natural_loops, predecessors_map
 from ..ir.function import BasicBlock, Function, Module
-from ..ir.instructions import (Assign, BinOp, Br, Call, Cmp, Instr, Load,
-                               Store)
-from .liveness import compute_liveness
+from ..ir.instructions import (Assign, BinOp, Br, Call, Cmp, CondBr, Instr,
+                               Load, Store)
+from .liveness import live_in_any
 from .pass_manager import OptConfig
 
 
-def _ensure_preheader(fn: Function, loop: Loop) -> Optional[BasicBlock]:
-    """Find or create the unique out-of-loop predecessor block of the header."""
+def _ensure_preheader(fn: Function, loop: Loop,
+                      dom: Dict[str, Set[str]]) -> Optional[BasicBlock]:
+    """Find or create the unique out-of-loop predecessor block of the header.
+
+    A created preheader is added to ``dom`` in place, so ``dom`` keeps equal
+    to ``dominators(fn)``.
+    """
     preds = predecessors_map(fn)
     outside = [p for p in preds[loop.header] if p not in loop.body]
-    if not outside:
-        return None  # unreachable loop or header == entry with no preds
+    if not any(p in dom for p in outside):
+        # Header == entry: any outside predecessor is unreachable, and a
+        # preheader fed only by those would never run what it holds.
+        return None
     if len(outside) == 1:
         pred = fn.block(outside[0])
         if len(pred.successors()) == 1:
@@ -43,7 +60,6 @@ def _ensure_preheader(fn: Function, loop: Loop) -> Optional[BasicBlock]:
     label = fn.fresh_label("preheader")
     preheader = BasicBlock(label, [Br(loop.header)])
     fn.add_block(preheader)
-    from ..ir.instructions import CondBr
     for pred_label in outside:
         term = fn.block(pred_label).instrs[-1]
         if isinstance(term, Br) and term.target == loop.header:
@@ -53,6 +69,11 @@ def _ensure_preheader(fn: Function, loop: Loop) -> Optional[BasicBlock]:
                 term.true_target = label
             if term.false_target == loop.header:
                 term.false_target = label
+    dom[label] = set.intersection(*(dom[p] for p in outside if p in dom))
+    dom[label].add(label)
+    for doms in dom.values():
+        if loop.header in doms:
+            doms.add(label)
     return preheader
 
 
@@ -79,52 +100,60 @@ def _stores_and_calls(fn: Function, loop: Loop) -> Tuple[Set[str], bool]:
 
 
 def licm_function(fn: Function) -> int:
+    dom = dominators(fn)
     hoisted_total = 0
-    for loop in natural_loops(fn):
-        hoisted_total += _licm_loop(fn, loop)
+    for loop in natural_loops(fn, dom):
+        hoisted_total += _licm_loop(fn, loop, dom)
     return hoisted_total
 
 
-def _licm_loop(fn: Function, loop: Loop) -> int:
-    preheader = _ensure_preheader(fn, loop)
+def _licm_loop(fn: Function, loop: Loop, dom: Dict[str, Set[str]]) -> int:
+    preheader = _ensure_preheader(fn, loop, dom)
     if preheader is None:
         return 0
+    # Hoisted kinds are never stores, calls or terminators, so the store/call
+    # summary and the exit edges hold for the whole loop.
+    defs = _loop_defs(fn, loop)
+    stored_arrays, has_call = _stores_and_calls(fn, loop)
+    exit_targets = {t for _, t in loop_exits(fn, loop)}
+    labels = sorted(loop.body)
     hoisted_total = 0
-    changed = True
-    while changed:
-        changed = False
-        dom = dominators(fn)
-        liveness = compute_liveness(fn)
-        defs = _loop_defs(fn, loop)
-        stored_arrays, has_call = _stores_and_calls(fn, loop)
-        exits = loop_exits(fn, loop)
-        exit_targets = {t for _, t in exits}
-        for label in sorted(loop.body):
-            block = fn.block(label)
-            for idx, instr in enumerate(block.instrs):
-                if not _hoistable_kind(instr, stored_arrays, has_call):
-                    continue
-                if any(defs.get(reg, 0) > 0 for reg in instr.uses()):
-                    continue
-                dst = instr.defined()
-                if dst is None or defs.get(dst, 0) != 1:
-                    continue
-                if not _uses_dominated(fn, loop, dom, label, idx, dst):
-                    continue
-                live_after = any(dst in liveness.live_in[t] for t in exit_targets
-                                 if t in liveness.live_in)
-                if live_after and not all(label in dom[t] for t in exit_targets
-                                          if t in dom):
-                    continue
-                # Hoist: insert before the preheader terminator.
-                block.instrs.pop(idx)
-                preheader.instrs.insert(len(preheader.instrs) - 1, instr)
-                hoisted_total += 1
-                changed = True
-                break
-            if changed:
-                break
-    return hoisted_total
+    while True:
+        # Rescan from the first block after every hoist: a hoist can make an
+        # earlier instruction hoistable, and the order fixes the output.
+        site = _first_hoistable(fn, loop, dom, labels, defs, stored_arrays,
+                                has_call, exit_targets)
+        if site is None:
+            return hoisted_total
+        block, idx = site
+        instr = block.instrs.pop(idx)
+        preheader.instrs.insert(len(preheader.instrs) - 1, instr)
+        defs[instr.defined()] -= 1
+        hoisted_total += 1
+
+
+def _first_hoistable(fn: Function, loop: Loop, dom: Dict[str, Set[str]],
+                     labels: List[str], defs: Dict[str, int],
+                     stored_arrays: Set[str], has_call: bool,
+                     exit_targets: Set[str]
+                     ) -> Optional[Tuple[BasicBlock, int]]:
+    for label in labels:
+        block = fn.block(label)
+        for idx, instr in enumerate(block.instrs):
+            if not _hoistable_kind(instr, stored_arrays, has_call):
+                continue
+            if any(defs.get(reg, 0) > 0 for reg in instr.uses()):
+                continue
+            dst = instr.defined()
+            if dst is None or defs.get(dst, 0) != 1:
+                continue
+            if not _uses_dominated(fn, loop, dom, label, idx, dst):
+                continue
+            if (not all(label in dom[t] for t in exit_targets if t in dom)
+                    and live_in_any(fn, dst, exit_targets)):
+                continue
+            return block, idx
+    return None
 
 
 def _hoistable_kind(instr: Instr, stored_arrays: Set[str], has_call: bool) -> bool:

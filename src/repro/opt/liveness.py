@@ -1,12 +1,13 @@
 """Block-level liveness analysis for virtual registers.
 
-Used by dead-code elimination, loop-invariant code motion safety checks, and
-the register allocator's spill-cost computation in codegen.
+:func:`compute_liveness` solves every register at once for the register
+allocator's spill-cost computation in codegen; :func:`live_in_any` answers
+one register for loop-invariant code motion's safety check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Iterable, Set
 
 from ..ir.cfg import predecessors_map, successors_map
 from ..ir.function import Function
@@ -55,6 +56,30 @@ def compute_liveness(fn: Function) -> LivenessInfo:
                 info.live_in[label] = new_in
                 changed = True
     return info
+
+
+def live_in_any(fn: Function, reg: str, labels: Iterable[str]) -> bool:
+    """True when ``reg`` is live on entry to any block in ``labels``.
+
+    Equal to ``any(reg in compute_liveness(fn).live_in[l] for l in labels)``:
+    a forward search from ``labels`` for a use of ``reg`` that no def of
+    ``reg`` precedes on the path.
+    """
+    worklist = list(labels)
+    seen = set(worklist)
+    while worklist:
+        block = fn.block(worklist.pop())
+        for instr in block.instrs:
+            if reg in instr.uses():
+                return True
+            if instr.defined() == reg:
+                break
+        else:
+            for succ in block.successors():
+                if succ not in seen:
+                    seen.add(succ)
+                    worklist.append(succ)
+    return False
 
 
 def registers_of(fn: Function) -> Set[str]:

@@ -18,19 +18,44 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
-from .core import TelemetrySession
+from .core import SpanRecord, TelemetrySession
+
+
+def _self_times(spans: List[SpanRecord], category: str
+                ) -> List[Tuple[SpanRecord, float]]:
+    """``(span, self µs)`` for every span of ``category``: its duration minus
+    the ``category`` spans nested in it (the nearest ones; theirs are
+    already net of their own).
+
+    Spans are recorded as they close, so a span's descendants are the run of
+    deeper spans listed right before it.  Nesting is read from that order
+    and ``depth``, not from ``start_us``: a merged worker session's
+    timestamps count from its own epoch.
+    """
+    out: List[Tuple[SpanRecord, float]] = []
+    #: (depth, µs of ``category`` spans inside it) awaiting an enclosing span.
+    pending: List[Tuple[int, float]] = []
+    for record in spans:
+        nested = 0.0
+        while pending and pending[-1][0] > record.depth:
+            nested += pending.pop()[1]
+        if record.category == category:
+            out.append((record, record.duration_us - nested))
+            pending.append((record.depth, record.duration_us))
+        elif nested:
+            pending.append((record.depth, nested))
+    return out
 
 
 def _aggregate_spans(session: TelemetrySession, category: str
                      ) -> List[Tuple[str, float, int]]:
-    """(name, total_seconds, runs) for every span of ``category``,
-    hottest first."""
+    """(name, total self seconds, runs) for every span of ``category``,
+    hottest first.  Self time keeps a nested span of the same category
+    (a stage inside ``iteration:N``) from being counted twice."""
     totals: Dict[str, List[float]] = {}
-    for record in session.spans:
-        if record.category != category:
-            continue
+    for record, duration_us in _self_times(session.spans, category):
         entry = totals.setdefault(record.name, [0.0, 0])
-        entry[0] += record.duration_us / 1e6
+        entry[0] += duration_us / 1e6
         entry[1] += 1
     rows = [(name, total, int(runs)) for name, (total, runs) in totals.items()]
     rows.sort(key=lambda row: -row[1])
@@ -69,7 +94,8 @@ def render_stats_report(session: TelemetrySession) -> str:
         lines.append("")
     stage_rows = _aggregate_spans(session, "stage")
     if stage_rows:
-        lines.extend(_timing_table(stage_rows, "Pipeline stage timing"))
+        lines.extend(_timing_table(stage_rows, "Pipeline stage timing "
+                                               "(self time)"))
         lines.append("")
     pgo_rows = _aggregate_spans(session, "pgo")
     if pgo_rows:

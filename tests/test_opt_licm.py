@@ -1,7 +1,10 @@
 """LICM: hoisting behaviour and non-SSA safety conditions."""
 
-from repro.ir import ModuleBuilder, natural_loops, verify_module
+import importlib
+
+from repro.ir import ModuleBuilder, dominators, natural_loops, verify_module
 from repro.opt import licm_function
+from repro.workloads import build_workload, large_module_spec
 from tests.conftest import run_ir
 
 
@@ -112,3 +115,81 @@ class TestHoisting:
         licm_function(module.function("main"))
         verify_module(module)
         assert run_ir(module, [6, 2]).return_value == before
+
+
+def _nested_loops_needing_preheader():
+    """Outer loop whose body reaches the inner header from two blocks, so
+    LICM must insert a dedicated inner preheader."""
+    mb = ModuleBuilder("m")
+    f = mb.function("main", ["%n", "%k"])
+    f.block("entry").mov("%i", 0).mov("%sum", 0).br("outer")
+    f.block("outer").cmp("slt", "%c", "%i", "%n").condbr("%c", "obody", "exit")
+    (f.block("obody")
+        .mov("%j", 0)
+        .cmp("eq", "%z", "%i", 1)
+        .condbr("%z", "skip", "inner"))
+    f.block("skip").add("%j", "%j", 1).br("inner")
+    f.block("inner").cmp("slt", "%d", "%j", "%n").condbr("%d", "ibody", "olatch")
+    (f.block("ibody")
+        .mul("%inv", "%k", 3)          # invariant in both loops
+        .add("%sum", "%sum", "%inv")
+        .add("%j", "%j", 1)
+        .br("inner"))
+    f.block("olatch").add("%i", "%i", 1).br("outer")
+    f.block("exit").ret("%sum")
+    module = mb.build()
+    verify_module(module)
+    return module
+
+
+class TestAnalysisReuse:
+    def test_preheader_insertion_keeps_dominators_exact(self, monkeypatch):
+        licm_mod = importlib.import_module("repro.opt.licm")
+        original = licm_mod._ensure_preheader
+        created = []
+
+        def checked(fn, loop, dom):
+            labels = {b.label for b in fn.blocks}
+            preheader = original(fn, loop, dom)
+            if preheader is not None and preheader.label not in labels:
+                created.append(preheader.label)
+                assert dom == dominators(fn)
+            return preheader
+
+        monkeypatch.setattr(licm_mod, "_ensure_preheader", checked)
+        module = _nested_loops_needing_preheader()
+        before = run_ir(module, [4, 5]).return_value
+        assert licm_function(module.function("main")) >= 1
+        assert created
+        verify_module(module)
+        assert run_ir(module, [4, 5]).return_value == before
+
+    def test_entry_header_with_only_unreachable_preds_not_hoisted(self):
+        """A loop headed by the entry block has no reachable outside
+        predecessor; a preheader fed by an unreachable one would never run
+        what LICM put there."""
+        mb = ModuleBuilder("m")
+        f = mb.function("main", ["%n", "%k"])
+        (f.block("loop")
+            .mul("%inv", "%k", 3)
+            .add("%n", "%n", -1)
+            .cmp("sgt", "%c", "%n", 0)
+            .condbr("%c", "loop", "exit"))
+        f.block("exit").ret("%inv")
+        f.block("dead").br("loop")
+        module = mb.build()
+        fn = module.function("main")
+        assert licm_function(fn) == 0
+        assert [b.label for b in fn.blocks] == ["loop", "exit", "dead"]
+        assert run_ir(module, [2, 5]).return_value == 15
+
+    def test_one_dominator_computation_per_function(self, monkeypatch):
+        licm_mod = importlib.import_module("repro.opt.licm")
+        calls = []
+        monkeypatch.setattr(licm_mod, "dominators",
+                            lambda fn: calls.append(fn) or dominators(fn))
+        module = build_workload(large_module_spec(seed=5, functions=40,
+                                                  loop_depth=4))
+        hoisted = sum(licm_function(fn) for fn in module.functions.values())
+        assert hoisted > 0
+        assert len(calls) == len(module.functions)

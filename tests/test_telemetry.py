@@ -9,7 +9,7 @@ from repro.opt import OptConfig, optimize_module
 from repro.telemetry import (Remark, TelemetrySession, chrome_trace,
                              remarks_to_json, render_stats_report,
                              write_chrome_trace, write_remarks)
-from repro.telemetry.core import _NULL_SPAN
+from repro.telemetry.core import _NULL_SPAN, SpanRecord
 from tests.conftest import build_call_module
 
 
@@ -137,6 +137,30 @@ class TestExporters:
         remarks = json.loads(remarks_path.read_text())
         assert remarks == remarks_to_json(session)
         assert remarks[0]["Pass"] == "inline"
+
+    def test_stage_table_reports_self_time(self):
+        """``iteration:0`` contains ``profiling-build`` (through a pass
+        span); the table charges each µs to one stage, so it sums to 100%.
+        A later sibling stage must not claim the earlier one's children."""
+        session = TelemetrySession()
+        # Recorded as spans close: children before their parents.
+        session.spans = [
+            SpanRecord("inline", "pass", 20.0, 10.0, 3, {}),
+            SpanRecord("profiling-build", "stage", 10.0, 30.0, 2, {}),
+            SpanRecord("iteration:0", "stage", 0.0, 100.0, 1, {}),
+            SpanRecord("evaluate", "stage", 100.0, 50.0, 1, {}),
+            SpanRecord("variant:csspgo", "pgo", 0.0, 160.0, 0, {}),
+        ]
+        report = render_stats_report(session)
+        table = report.split("=== Pipeline stage timing (self time) ===\n")[1]
+        rows = {}
+        for line in table.split("\n\n")[0].splitlines()[1:]:
+            seconds, percent, runs, name = line.split()
+            rows[name] = (round(float(seconds) * 1e6), float(percent), int(runs))
+        assert rows == {"iteration:0": (70, 46.7, 1),
+                        "evaluate": (50, 33.3, 1),
+                        "profiling-build": (30, 20.0, 1)}
+        assert sum(row[1] for row in rows.values()) == 100.0
 
     def test_remark_repr_and_session_repr(self):
         remark = Remark("p", "N", "f", "m")
