@@ -32,14 +32,14 @@ counts on every sampled function (the blend contract, verified per run).
 The **large-module section** (``large_module`` in the report) times
 ``infer_module_counts`` at production scale (``--large-functions``
 functions with ``--large-loop-depth``-deep loop nests, observations from
-the static estimator plus 3% jitter) in five configurations: dense
-serial oracle, sparse cold cache, sparse warm cache, incremental repeat
-(memoized re-solve of an unchanged profile), and a 1/2/4/8-shard curve
-on the warm cache.  ``--check`` additionally gates:
+the static estimator plus 3% jitter) in four configurations: dense
+serial oracle, sparse cold cache, sparse warm cache, and incremental
+repeat (memoized re-solve of an unchanged profile).  ``--check``
+additionally gates:
 
-* ``--min-large-speedup`` — sparse warm at 8 shards must beat the dense
-  serial oracle by this factor (default 10x; lowered in CI where the
-  smoke module is small);
+* ``--min-large-speedup`` — sparse warm must beat the dense serial
+  oracle by this factor (default 10x; lowered in CI where the smoke
+  module is small);
 * ``--max-rel-diff`` — sparse results must match the dense oracle within
   this relative tolerance (default 1e-6);
 * ``--min-reuse`` — the incremental repeat must skip at least this
@@ -276,15 +276,6 @@ def run_large_bench(functions: int, loop_depth: int, seed: int,
     report["max_rel_diff_vs_dense"] = _max_rel_diff(
         dense_counts, _module_counts(module))
 
-    # Shard curve on the warm cache (jobs=1: in-process, so the curve
-    # isolates partitioning overhead; worker pools are covered by tests).
-    report["shard_curve"] = []
-    for shards in (1, 2, 4, 8):
-        shard_ns = timed(repeats, session=warm_session, shards=shards,
-                         jobs=1)
-        report["shard_curve"].append(
-            {"shards": shards, "jobs": 1, **entry(shard_ns, dense_ns)})
-
     # Incremental repeat: memoized session, unchanged profile.  The first
     # run populates the memo; the second must skip (almost) every solve.
     memo_session = inference_session.InferenceSession(cache=cache)
@@ -312,10 +303,10 @@ def check_large(report, min_speedup: float, max_rel_diff: float,
         print("  large-module section skipped; gates vacuous")
         return 0
     failures = 0
-    speedup = large["shard_curve"][-1]["speedup_vs_dense"]
+    speedup = large["sparse_warm"]["speedup_vs_dense"]
     status = "ok" if speedup >= min_speedup else "FAIL"
     failures += speedup < min_speedup
-    print(f"  large speedup_vs_dense (8 shards, warm) {speedup:5.1f}x "
+    print(f"  large speedup_vs_dense (sparse warm) {speedup:5.1f}x "
           f"(floor {min_speedup:.1f}x) {status}")
     diff = large["max_rel_diff_vs_dense"]
     status = "ok" if diff <= max_rel_diff else "FAIL"
@@ -445,8 +436,8 @@ def main(argv=None) -> int:
                         help="timed repetitions for warm large-module "
                              "configurations (best-of)")
     parser.add_argument("--min-large-speedup", type=float, default=10.0,
-                        help="--check floor: sparse warm at 8 shards vs "
-                             "dense serial")
+                        help="--check floor: sparse warm vs dense "
+                             "serial")
     parser.add_argument("--max-rel-diff", type=float, default=1e-6,
                         help="--check limit: sparse-vs-dense relative "
                              "difference on the large module")
@@ -491,8 +482,6 @@ def main(argv=None) -> int:
                                             large["sparse_cold"]),
                 ("sparse_warm", large["sparse_warm"]),
                 ("incremental", large["incremental_repeat"])]
-        rows += [(f"shards={point['shards']}", point)
-                 for point in large["shard_curve"]]
         for name, point in rows:
             speedup = point.get("speedup_vs_dense")
             suffix = f"   ({speedup:.1f}x dense)" if speedup else ""

@@ -23,14 +23,6 @@ contract is machine-independent, the baseline is not.  Every timed pair is
 also verified byte-identical (fast vs legacy text output) — a benchmark
 that quietly changed the profile would be meaningless.
 
-The report also covers **sharded** context-mode generation (DESIGN.md
-sec. 13): a few shard/job configs plus a worker scaling curve (1/2/4/8
-jobs at a fixed shard count), every one verified byte-identical to the
-serial fast path.  ``--check-sharded`` additionally gates the 2-worker
-config on throughput >= ``--sharded-min-ratio`` x the serial fast path —
-an overhead guard meant for runners with at least 2 cores (pool startup
-cannot amortize on a single-core machine).
-
 Dead-cache sanity runs unconditionally: a cache counter pinned at zero
 (unwind payload reuse, range indexes never consulted) fails the bench —
 that is how the dead unwind memo and the uninstrumented instr-range index
@@ -50,8 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import telemetry
 from repro.codegen import build_probe_metadata, link
 from repro.correlate import (generate_context_profile, generate_dwarf_profile,
-                             generate_probe_profile,
-                             ShardedProfgenPool, generate_sharded_profile)
+                             generate_probe_profile)
 from repro.hw import PMUConfig, execute, make_pmu
 from repro.opt import OptConfig, optimize_module
 from repro.probes import insert_pseudo_probes
@@ -63,14 +54,6 @@ ARGS = [300]
 #: minimum fast/legacy samples-per-second ratio per mode (--check).
 REQUIRED_SPEEDUP = {"dwarf": 2.0, "probe": 2.0, "context": 3.0,
                     "context_noinf": 2.0}
-
-#: sharded context-mode configs: (shards, jobs).  jobs=1 runs in-process
-#: (partition+merge overhead only); jobs=2 is the CI overhead-guard config.
-SHARDED_CONFIGS = ((2, 1), (4, 1), (2, 2))
-
-#: worker scaling curve: jobs at a fixed shard count.
-SCALING_JOBS = (1, 2, 4, 8)
-SCALING_SHARDS = 8
 
 
 def build_profiled_binary(requests: int, period: int):
@@ -154,67 +137,6 @@ def _cache_stats(binary, meta, data):
     }
 
 
-def _measure_sharded(binary, meta, data, shards: int, jobs: int,
-                     repeats: int):
-    """Best-of-N wall time of one sharded context-mode config.
-
-    ``jobs > 1`` measures steady state against a long-lived
-    :class:`ShardedProfgenPool` — worker startup and the binary pickle are
-    paid once, outside the timed region, exactly as a profile service
-    deployment pays them.  Per-call costs that sharding actually adds
-    (partitioning, graph + entry pickling, merge) stay inside the timing.
-    """
-    pool = (ShardedProfgenPool(binary, "context", meta, jobs=jobs)
-            if jobs > 1 else None)
-    best_ns = None
-    text = None
-    try:
-        for _ in range(repeats + 1):
-            start = time.perf_counter_ns()
-            outcome = generate_sharded_profile(binary, data, "context", meta,
-                                               shards=shards, jobs=jobs,
-                                               pool=pool)
-            text = dump_context_profile(outcome.profile)
-            elapsed = time.perf_counter_ns() - start
-            if best_ns is None:  # warmup
-                best_ns = float("inf")
-            else:
-                best_ns = min(best_ns, elapsed)
-    finally:
-        if pool is not None:
-            pool.close()
-    return best_ns, text
-
-
-def _sharded_bench(binary, meta, data, repeats: int,
-                   serial_ns: float, serial_text: str):
-    """Sharded configs + the worker scaling curve, all byte-checked
-    against the serial fast path's context profile."""
-    samples = len(data.samples)
-    serial_rate = samples / (serial_ns / 1e9)
-    out = {"mode": "context", "serial_fast_samples_per_sec": serial_rate,
-           "configs": {}, "scaling": []}
-    mismatches = 0
-
-    def entry(shards, jobs):
-        nonlocal mismatches
-        ns, text = _measure_sharded(binary, meta, data, shards, jobs, repeats)
-        if text != serial_text:
-            mismatches += 1
-            print(f"  ERROR: sharded (shards={shards}, jobs={jobs}) output "
-                  f"differs from serial fast path", file=sys.stderr)
-        return {"shards": shards, "jobs": jobs,
-                "samples_per_sec": samples / (ns / 1e9),
-                "ratio_vs_serial_fast": serial_ns / ns,
-                "identical_output": text == serial_text}
-
-    for shards, jobs in SHARDED_CONFIGS:
-        out["configs"][f"s{shards}_j{jobs}"] = entry(shards, jobs)
-    for jobs in SCALING_JOBS:
-        out["scaling"].append(entry(SCALING_SHARDS, jobs))
-    return out, mismatches
-
-
 def run_bench(requests: int, period: int, repeats: int):
     binary, meta, data = build_profiled_binary(requests, period)
     samples = len(data.samples)
@@ -228,7 +150,6 @@ def run_bench(requests: int, period: int, repeats: int):
         "modes": {},
     }
     mismatches = 0
-    context_fast = None
     for name, thunk in _modes(binary, meta, data).items():
         legacy_ns, legacy_text = _measure(thunk, False, repeats)
         fast_ns, fast_text = _measure(thunk, True, repeats)
@@ -236,8 +157,6 @@ def run_bench(requests: int, period: int, repeats: int):
             mismatches += 1
             print(f"  ERROR: {name} fast output differs from legacy",
                   file=sys.stderr)
-        if name == "context":
-            context_fast = (fast_ns, fast_text)
         report["modes"][name] = {
             "samples": samples,
             "legacy_samples_per_sec": samples / (legacy_ns / 1e9),
@@ -247,9 +166,6 @@ def run_bench(requests: int, period: int, repeats: int):
             "speedup": legacy_ns / fast_ns,
             "identical_output": fast_text == legacy_text,
         }
-    report["sharded"], sharded_mismatches = _sharded_bench(
-        binary, meta, data, repeats, *context_fast)
-    mismatches += sharded_mismatches
     report["cache"] = _cache_stats(binary, meta, data)
     report["identical_all_modes"] = mismatches == 0
     return report, mismatches
@@ -294,19 +210,6 @@ def check_cache_sanity(report) -> int:
             failures += 1
         print(f"  cache-sanity {name:22s} {detail} {status}")
     return failures
-
-
-def check_sharded(report, min_ratio: float) -> int:
-    """Gate the 2-worker sharded config on throughput vs the serial fast
-    path (``--check-sharded``; assumes a runner with >= 2 cores)."""
-    entry = report["sharded"]["configs"]["s2_j2"]
-    ratio = entry["ratio_vs_serial_fast"]
-    ok = ratio >= min_ratio and entry["identical_output"]
-    status = "ok" if ok else "FAIL"
-    print(f"  sharded s2_j2 throughput {ratio:5.2f}x serial "
-          f"(required {min_ratio:.2f}x, identical="
-          f"{entry['identical_output']}) {status}")
-    return 0 if ok else 1
 
 
 def check_baseline(report, baseline, max_regression: float) -> int:
@@ -372,14 +275,6 @@ def main(argv=None) -> int:
                              "this factor")
     parser.add_argument("--check", action="store_true",
                         help="enforce the fast-vs-legacy speedup contract")
-    parser.add_argument("--check-sharded", action="store_true",
-                        help="gate the 2-worker sharded config on "
-                             "throughput >= --sharded-min-ratio x the "
-                             "serial fast path (needs >= 2 cores)")
-    parser.add_argument("--sharded-min-ratio", type=float, default=0.9,
-                        metavar="FRAC",
-                        help="minimum sharded/serial throughput ratio for "
-                             "--check-sharded (default 0.9)")
     parser.add_argument("--events-out", default=None, metavar="PATH",
                         help="append bench_point events to this JSONL event "
                              "log (see repro report)")
@@ -403,12 +298,6 @@ def main(argv=None) -> int:
         print(f"  {name:14s} legacy {entry['legacy_samples_per_sec']:10,.0f} "
               f"samples/s   fast {entry['fast_samples_per_sec']:10,.0f} "
               f"samples/s   speedup {entry['speedup']:5.2f}x")
-    sharded = report["sharded"]
-    for point in sharded["scaling"]:
-        print(f"  sharded s{point['shards']}_j{point['jobs']:<2d} "
-              f"{point['samples_per_sec']:10,.0f} samples/s   "
-              f"{point['ratio_vs_serial_fast']:5.2f}x serial fast   "
-              f"identical={point['identical_output']}")
     cache = report["cache"]
     # Unwind hit rate = samples served by payload reuse; equals
     # 1 - unique_ratio on the dedup path by construction.
@@ -429,8 +318,6 @@ def main(argv=None) -> int:
     failures += check_cache_sanity(report)
     if args.check:
         failures += check_contract(report)
-    if args.check_sharded:
-        failures += check_sharded(report, args.sharded_min_ratio)
     if args.baseline:
         failures += check_baseline(report, baseline, args.max_regression)
     return 1 if failures else 0

@@ -59,10 +59,6 @@ def _config(args) -> PGODriverConfig:
         strict_profile=args.strict_profile,
         static_fill_cold=args.static_fill_cold,
         verify_each=args.verify_each,
-        profgen_shards=args.shards,
-        profgen_jobs=args.jobs,
-        infer_shards=getattr(args, "infer_shards", 1),
-        infer_jobs=getattr(args, "infer_jobs", 1),
         incremental_inference=not getattr(args, "no_incremental_inference",
                                           False),
         dense_inference=getattr(args, "dense_inference", False))
@@ -132,7 +128,7 @@ def cmd_quality(args) -> int:
 def cmd_profile(args) -> int:
     import time
 
-    from .correlate import generate_context_profile, generate_sharded_profile
+    from .correlate import aggregate_samples, context_profile_from_agg
     from .profile import dump_context_profile
     from .profile.stats import profile_stats
     module, requests = _resolve_workload(args.workload, args.seed)
@@ -140,23 +136,11 @@ def cmd_profile(args) -> int:
     pmu = make_pmu(PMUConfig(period=args.period))
     run = execute(artifacts.binary, [requests], pmu=pmu)
     data = pmu.finish(run.instructions_retired)
-    samples_used = None
-    drops = {}
-    shard_provenance = None
-    if args.shards > 1:
-        outcome = generate_sharded_profile(
-            artifacts.binary, data, "context", artifacts.probe_meta,
-            shards=args.shards, jobs=args.jobs)
-        profile = outcome.profile
-        # Sharded generation carries exact accounting on the merged
-        # ProfileMap — no telemetry session needed to manifest it.
-        samples_used = outcome.profile_map.used_samples
-        drops = {f"correlate.drop.{reason}": count for reason, count
-                 in sorted(outcome.profile_map.dropped.items())}
-        shard_provenance = outcome.shard_provenance
-    else:
-        profile, _inferrer = generate_context_profile(
-            artifacts.binary, data, artifacts.probe_meta)
+    # The aggregation carries exact drop accounting, so the manifest needs
+    # no telemetry session to record it.
+    agg, _inferrer = aggregate_samples(artifacts.binary, data)
+    profile = context_profile_from_agg(artifacts.binary, agg,
+                                       artifacts.probe_meta)
     text = dump_context_profile(profile)
     if args.output:
         with open(args.output, "w") as handle:
@@ -175,11 +159,11 @@ def cmd_profile(args) -> int:
                   "pebs": data.pebs,
                   "instructions_retired": data.instructions_retired,
                   "binary_id": data.binary_id,
-                  "samples_used": samples_used},
-            drops=drops,
+                  "samples_used": agg.used_samples},
+            drops={f"correlate.drop.{reason}": count
+                   for reason, count in sorted(agg.dropped.items())},
             profile_stats=profile_stats(profile),
-            created_at=time.time(),
-            shards=shard_provenance)
+            created_at=time.time())
         manifest_path = obs.manifest_path_for(args.output)
         manifest.write(manifest_path)
         print(f"wrote provenance manifest to {manifest_path}")
@@ -419,7 +403,7 @@ def cmd_fleet_run(args) -> int:
         deadline=args.deadline, status_every=args.status_every,
         release_every=args.release_every,
         freshness_window=args.freshness_window, period=args.period,
-        shards=args.shards, jobs=args.jobs, fault_spec=args.fault_spec)
+        fault_spec=args.fault_spec)
     report = run_fleet(config)
     print(report.render())
     if args.check and report.check():
@@ -494,22 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="continuous-profiling iterations")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes: compare runs variants in "
-                             "parallel; with --shards, profile generation "
-                             "fans shards out over N workers — results stay "
-                             "byte-identical to -j1")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition profile generation into N "
-                             "deterministic payload shards and merge the "
-                             "partial profiles (byte-identical to unsharded; "
-                             "pair with --jobs for a worker pool)")
-    parser.add_argument("--infer-shards", type=int, default=1, metavar="N",
-                        help="partition per-function profile-inference "
-                             "solves into N deterministic shards (solved "
-                             "counts identical to unsharded; pair with "
-                             "--infer-jobs for a worker pool)")
-    parser.add_argument("--infer-jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sharded inference solves "
-                             "(1 = in-process)")
+                             "parallel — results stay byte-identical to -j1")
     parser.add_argument("--dense-inference", action="store_true",
                         help="force the dense differential-oracle inference "
                              "solver instead of the cached sparse path")

@@ -14,7 +14,8 @@ for the *operational* plane of the fleet service:
   (malformed lines: bit-rot, truncation splices);
 * ``fleet`` — operational failures of the continuous-profiling fleet
   service (DESIGN.md sec. 15): crashed and hung collection workers, slow
-  collections that blow task deadlines, dropped shard results, and
+  collections that blow task deadlines, collection results lost in
+  flight, and
   clock-skewed generation timestamps.  Fleet injectors have no data-plane
   hook — they are *decision points* the fleet orchestrator draws through
   :class:`~repro.fleet.faults.FaultPlane`, from the same per-injector
@@ -346,7 +347,7 @@ class FleetInjector(Injector):
 
     Intensity is the per-decision firing probability (per busy worker per
     tick for crash/hang, per task start for slow collections, per
-    generation for shard drops and clock skew).  The orchestrator draws
+    generation for lost results and clock skew).  The orchestrator draws
     from the spec's per-injector stream (:meth:`FaultSpec.rng_for`) in
     deterministic simulation order — same spec, same fleet seed, same
     failures, tick for tick.
@@ -383,8 +384,8 @@ class SlowCollection(FleetInjector):
 
 
 class DropShardResult(FleetInjector):
-    """One shard's partial profile is lost in flight; the merge cannot
-    complete, so the whole collection attempt fails and retries."""
+    """The collection result is lost in flight, so the whole collection
+    attempt fails and retries."""
 
     name = "drop_shard"
     decision = "per profile generation"

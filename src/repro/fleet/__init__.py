@@ -5,7 +5,7 @@ profiling deployment: a registry of services under rolling releases, a
 priority scheduler with bounded retry + exponential backoff + seeded
 jitter, a supervised worker pool (crash recovery, heartbeat hang
 detection, deadlines), a collection engine doing the *real* PMU +
-sharded-profgen work, and a generation manager driving the
+profgen work, and a generation manager driving the
 csspgo -> autofdo -> none degradation chain from profile freshness.
 """
 

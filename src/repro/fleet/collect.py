@@ -3,26 +3,19 @@
 The fleet simulation is tick-driven and deterministic, but the work it
 supervises is real: a completed task attaches the PMU to the service's
 deployed binary, runs its training input, and generates a context profile
-through the sharded profgen engine (DESIGN.md sec. 13).  Sample streams
+with the serial profgen (DESIGN.md sec. 13).  Sample streams
 are seeded per ``(fleet seed, service, revision, task, attempt)``, so a
 retried attempt re-collects a *different* (but replayable) stream — the
 way a rerun on real hardware would — while the same fleet seed reproduces
 every byte across runs.
-
-With ``jobs > 1`` the engine reuses one long-lived
-:class:`~repro.correlate.sharded.ShardedProfgenPool` per service binary
-(the pool's raison d'être: a profile service regenerating over the same
-build amortizes worker startup and the binary pickle), evicting it when a
-rolling release changes the binary identity and closing every pool —
-gracefully, cancelling outstanding work — at shutdown.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional
+from typing import Optional
 
-from ..correlate.sharded import ShardedProfgenPool, generate_sharded_profile
+from ..correlate.profgen import generate_context_profile
 from ..faults import FaultSpec, apply_perf_faults
 from ..hw.executor import execute, make_pmu
 from ..hw.pmu import PMUConfig
@@ -38,36 +31,30 @@ class CollectionError(RuntimeError):
 class CollectionOutcome:
     """Everything one successful collection produced."""
 
-    __slots__ = ("profile", "data", "binary_id", "shard_provenance",
-                 "samples", "unique_samples", "jitter_seed")
+    __slots__ = ("profile", "data", "binary_id", "samples",
+                 "unique_samples", "jitter_seed")
 
-    def __init__(self, profile, data, binary_id: str, shard_provenance,
-                 jitter_seed: int):
+    def __init__(self, profile, data, binary_id: str, jitter_seed: int):
         self.profile = profile
         self.data = data
         self.binary_id = binary_id
-        self.shard_provenance = shard_provenance
         self.samples = len(data)
         self.unique_samples = len(data.aggregated()) if len(data) else 0
         self.jitter_seed = jitter_seed
 
 
 class CollectionEngine:
-    """Executes collection tasks: PMU run + sharded profile generation."""
+    """Executes collection tasks: PMU run + context profile generation."""
 
-    def __init__(self, *, seed: int = 0, period: int = 59, shards: int = 2,
-                 jobs: int = 1, max_instructions: int = 2_000_000,
+    def __init__(self, *, seed: int = 0, period: int = 59,
+                 max_instructions: int = 2_000_000,
                  fault_spec: Optional[FaultSpec] = None):
         self.seed = seed
         self.period = period
-        self.shards = max(1, shards)
-        self.jobs = max(1, jobs)
         self.max_instructions = max_instructions
         #: Data-plane faults (``perf``-kind injectors) applied to every
         #: collection's samples — operational and data faults compose.
         self.fault_spec = fault_spec
-        self._pools: Dict[str, ShardedProfgenPool] = {}
-        self._pool_by_service: Dict[str, str] = {}
 
     # -- determinism --------------------------------------------------------
     def jitter_seed(self, service: Service, task: CollectionTask) -> int:
@@ -79,43 +66,14 @@ class CollectionEngine:
                 + task.task_id * 1000003
                 + task.attempt) & 0x7FFFFFFF
 
-    # -- pool cache ---------------------------------------------------------
-    def _pool_for(self, service: Service) -> Optional[ShardedProfgenPool]:
-        if self.jobs <= 1:
-            return None
-        binary_id = service.binary_id
-        pool = self._pools.get(binary_id)
-        if pool is None:
-            pool = ShardedProfgenPool(
-                service.build.binary, "context", service.build.probe_meta,
-                jobs=self.jobs)
-            self._pools[binary_id] = pool
-            self._pool_by_service[service.spec.name] = binary_id
-        return pool
-
-    def invalidate(self, service: Service) -> None:
-        """A release replaced the binary: retire the old identity's pool."""
-        old = self._pool_by_service.pop(service.spec.name, None)
-        if old is not None and old != service.binary_id:
-            pool = self._pools.pop(old, None)
-            if pool is not None:
-                pool.close()
-
-    def close(self) -> None:
-        """Graceful shutdown: cancel outstanding shard work, close pools."""
-        for pool in self._pools.values():
-            pool.terminate()
-        self._pools.clear()
-        self._pool_by_service.clear()
-
     # -- the work -----------------------------------------------------------
     def collect(self, service: Service, task: CollectionTask,
                 plane: FaultPlane) -> CollectionOutcome:
         """Run one collection attempt end to end.
 
-        Raises :class:`CollectionError` when the fault plane drops a shard
-        result (the merge cannot complete, so the attempt fails and the
-        scheduler retries it).
+        Raises :class:`CollectionError` when the fault plane loses the
+        collection result in flight (the attempt fails and the scheduler
+        retries it).
         """
         artifacts = service.build
         jitter = self.jitter_seed(service, task)
@@ -126,17 +84,8 @@ class CollectionEngine:
         if self.fault_spec is not None:
             data, _report = apply_perf_faults(data, self.fault_spec)
         if plane.drop_shard():
-            raise CollectionError("shard partial lost in flight")
-        outcome = generate_sharded_profile(
-            artifacts.binary, data, "context", artifacts.probe_meta,
-            shards=self.shards, jobs=self.jobs,
-            pool=self._pool_for(service))
-        return CollectionOutcome(outcome.profile, data,
-                                 artifacts.binary.identity(),
-                                 outcome.shard_provenance, jitter)
-
-    def __enter__(self) -> "CollectionEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            raise CollectionError("collection result lost in flight")
+        profile, _ = generate_context_profile(artifacts.binary, data,
+                                              artifacts.probe_meta)
+        return CollectionOutcome(profile, data, artifacts.binary.identity(),
+                                 jitter)

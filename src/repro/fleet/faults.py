@@ -2,7 +2,7 @@
 
 Data-plane injectors corrupt bytes; the five ``fleet``-kind injectors
 (:mod:`repro.faults.injectors`) are *decision points* — a worker crashes,
-a worker hangs, a collection runs slow, a shard result vanishes, a
+a worker hangs, a collection runs slow, a collection result vanishes, a
 generation timestamp skews.  The :class:`FaultPlane` owns those decisions:
 one :class:`random.Random` stream per injector (seeded by
 :meth:`~repro.faults.spec.FaultSpec.rng_for`, so streams are independent
@@ -69,8 +69,8 @@ class FaultPlane:
         return self._rng["slow_collection"].randint(2, max(2, maximum))
 
     def drop_shard(self) -> bool:
-        """Drawn once per profile generation: a shard partial lost in
-        flight fails the whole attempt (the merge cannot complete)."""
+        """Drawn once per profile generation: a collection result lost
+        in flight fails the whole attempt."""
         return self._fires("drop_shard")
 
     def clock_skew(self, window: int) -> int:

@@ -125,8 +125,7 @@ class GenerationManager:
                              if self.plane.spec is not None else None),
                     "injected": {"clock_skew.ticks": skew} if skew else {}},
             profile_stats=profile_stats(outcome.profile),
-            created_at=float(tick),
-            shards=outcome.shard_provenance)
+            created_at=float(tick))
         record = manifest.to_dict()
         generation = ProfileGeneration(
             name, task.revision, outcome.binary_id, index, tick, skew,

@@ -55,8 +55,7 @@ class FleetConfig:
                  freshness_window: int = 60, status_every: int = 20,
                  release_every: int = 70,
                  retry: Optional[RetryPolicy] = None,
-                 period: int = 59, shards: int = 2, jobs: int = 1,
-                 max_instructions: int = 2_000_000,
+                 period: int = 59, max_instructions: int = 2_000_000,
                  fault_spec: Optional[FaultSpec] = None):
         self.ticks = max(1, ticks)
         self.services = max(1, services)
@@ -73,8 +72,6 @@ class FleetConfig:
         self.release_every = max(0, release_every)
         self.retry = retry if retry is not None else RetryPolicy(seed=seed)
         self.period = period
-        self.shards = max(1, shards)
-        self.jobs = max(1, jobs)
         self.max_instructions = max_instructions
         self.fault_spec = fault_spec
 
@@ -149,7 +146,7 @@ class FleetReport:
             f"  failures   crashes={totals['worker_crashes']} "
             f"hangs={totals['worker_hangs']} "
             f"timeouts={totals['tasks_timed_out']} "
-            f"shard_drops={totals['tasks_failed']} "
+            f"lost={totals['tasks_failed']} "
             f"orphaned={totals['tasks_orphaned']} "
             f"(requeued={totals['orphans_requeued']} "
             f"retired={totals['orphans_exhausted']})")
@@ -193,8 +190,8 @@ class FleetOrchestrator:
                 collect_every=config.collect_every,
                 release_every=config.release_every))
         self.engine = CollectionEngine(
-            seed=config.seed, period=config.period, shards=config.shards,
-            jobs=config.jobs, max_instructions=config.max_instructions,
+            seed=config.seed, period=config.period,
+            max_instructions=config.max_instructions,
             fault_spec=config.fault_spec)
         self.scheduler = Scheduler(config.retry, self.stats)
         self.generations = GenerationManager(
@@ -221,25 +218,21 @@ class FleetOrchestrator:
                 self.scheduler.schedule(service, tick, self.config.deadline)
 
     def run(self) -> FleetReport:
-        """Run the full simulation; always shuts the engine down."""
+        """Run the full simulation."""
         config = self.config
-        try:
-            for tick in range(config.ticks):
-                self.clock.tick = tick
-                for service in self.registry.step(tick):
-                    self.stats.bump("releases")
-                    self.engine.invalidate(service)
-                self._schedule_due(tick)
-                self.pool.step(tick)
-                self.pool.dispatch(tick)
-                self.generations.refresh(self.registry, tick)
-                self.status.maybe(tick)
-            last = config.ticks - 1
-            self.clock.tick = last
-            self.status.final(last)
-            faults_fired = self.plane.report()
-        finally:
-            self.engine.close()
+        for tick in range(config.ticks):
+            self.clock.tick = tick
+            for _service in self.registry.step(tick):
+                self.stats.bump("releases")
+            self._schedule_due(tick)
+            self.pool.step(tick)
+            self.pool.dispatch(tick)
+            self.generations.refresh(self.registry, tick)
+            self.status.maybe(tick)
+        last = config.ticks - 1
+        self.clock.tick = last
+        self.status.final(last)
+        faults_fired = self.plane.report()
         return self._report(last, faults_fired)
 
     def _report(self, tick: int, faults_fired: int) -> FleetReport:

@@ -3,7 +3,7 @@
 Workers are *simulated* (the tick clock is what makes a 500-tick fault
 storm deterministic and replayable), but the work is real: when a worker's
 attempt reaches its finish tick, the collection engine runs the actual
-PMU collection + sharded profile generation for that task.
+PMU collection + context profile generation for that task.
 
 Per tick, in fixed worker order, the supervisor checks each busy worker:
 
@@ -15,7 +15,8 @@ Per tick, in fixed worker order, the supervisor checks each busy worker:
    supervisor cancels the attempt cooperatively and retries it;
 3. **heartbeat** — a healthy worker heartbeats every tick;
 4. **completion** — at the finish tick the real collection runs; an
-   operational failure (dropped shard) fails the attempt into retry;
+   operational failure (result lost in flight) fails the attempt into
+   retry;
 5. **deadline** — an attempt still running past its per-task deadline
    (slow collection) is cancelled and retried.
 
@@ -143,7 +144,7 @@ class WorkerPool:
             obs.emit("fleet_task", action="failed", task=task.task_id,
                      service=task.service, attempt=task.attempt,
                      reason=str(exc))
-            self.scheduler.retry(task, tick, "shard_dropped")
+            self.scheduler.retry(task, tick, "result_lost")
             worker.idle()
             return
         self.stats.bump("tasks_completed")

@@ -47,34 +47,6 @@ class AggregatedSample:
         return f"<AggregatedSample x{self.count}>"
 
 
-#: FNV-1a 64-bit constants for the stable payload hash.
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-
-def payload_shard(lbr: Tuple[Tuple[int, int], ...], stack: Tuple[int, ...],
-                  shards: int) -> int:
-    """Deterministic shard index of one ``(lbr, stack)`` payload.
-
-    FNV-1a over the raw addresses — independent of ``PYTHONHASHSEED``,
-    process, and platform, so every worker (and every rerun) agrees on the
-    partition.  Hashing the full payload keeps each shard's unwind caches
-    hot: identical payloads are one aggregated entry already, and the
-    per-branch memos a payload warms are reused by every other payload the
-    same worker owns.
-    """
-    h = _FNV_OFFSET
-    for source, target in lbr:
-        h = ((h ^ source) * _FNV_PRIME) & _MASK64
-        h = ((h ^ target) * _FNV_PRIME) & _MASK64
-    # Length-prefix-free separator so (lbr, stack) boundaries are unambiguous.
-    h = ((h ^ 0x9E3779B97F4A7C15) * _FNV_PRIME) & _MASK64
-    for addr in stack:
-        h = ((h ^ addr) * _FNV_PRIME) & _MASK64
-    return h % shards
-
-
 class PerfData:
     """A full profiling session: all samples plus collection metadata."""
 

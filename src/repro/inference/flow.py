@@ -41,8 +41,7 @@ Every departure from the primary solver is classified and counted
 obs events) instead of being silently swallowed.  Module-level inference
 additionally consults the installed :class:`~repro.inference.incremental.
 InferenceSession` (solution memoization across rolling profile
-generations) and can fan per-function solves out to the sharded pool
-(``inference.sharded``).
+generations).
 """
 
 from __future__ import annotations
@@ -180,10 +179,8 @@ def solve_system(fn_name: str, skeleton: "CFGSkeleton",
     """Solve one function's system on the sparse path.
 
     Returns ``(source_flow, per-block inflow, fallback_reason)``; pure in
-    its inputs, so it runs identically in-process and in pool workers
-    (``inference.sharded``) and its results are memoizable
-    (``inference.incremental``).  ``fallback_reason`` is reported by the
-    *caller* so workers stay observability-free.
+    its inputs, so its results are memoizable (``inference.incremental``).
+    ``fallback_reason`` is reported by the caller.
     """
     from .sparse import solve_raw
     return solve_raw(cache, skeleton.digest, skeleton.n_blocks,
@@ -238,9 +235,8 @@ def infer_module_counts(module: Module,
                         head_counts: Optional[Dict[str, float]] = None,
                         static_fill: bool = False, *,
                         dense: bool = False,
-                        session: "Optional[InferenceSession]" = None,
-                        shards: Optional[int] = None,
-                        jobs: Optional[int] = None) -> int:
+                        session: "Optional[InferenceSession]" = None
+                        ) -> int:
     """Run inference over every annotated function; returns how many ran.
 
     With ``static_fill`` the functions inference could *not* run on (no
@@ -249,11 +245,8 @@ def infer_module_counts(module: Module,
 
     ``session`` (default: the installed
     :class:`~repro.inference.incremental.InferenceSession`, if any)
-    supplies the solver cache, memoizes solutions across repeated runs,
-    and carries default shard/job settings; ``shards``/``jobs`` override
-    the session's.  ``shards > 1`` partitions the solve work
-    deterministically (``inference.sharded``); ``jobs > 1`` runs shards in
-    a process pool — shard count never changes the solved counts.
+    supplies the solver cache and memoizes solutions across repeated
+    runs.
     """
     from .incremental import current as current_session
     sess = session if session is not None else current_session()
@@ -265,17 +258,11 @@ def infer_module_counts(module: Module,
     from .skeleton import extract_skeleton, observation_pattern
     from .sparse import default_cache
     cache = sess.cache if sess is not None else default_cache()
-    n_shards = shards if shards is not None else (
-        sess.shards if sess is not None else 1)
-    n_jobs = jobs if jobs is not None else (
-        sess.jobs if sess is not None else 1)
 
     inferred: List[str] = []
     reused = 0
     fallbacks = 0
-    pending: List[Tuple[str, "CFGSkeleton", Tuple[int, ...], List[float],
-                        Optional[float]]] = []
-    pending_fns: Dict[str, Tuple[Function, List[str]]] = {}
+    solved = 0
     for name, fn in module.functions.items():
         head = head_counts.get(name) if head_counts else None
         skeleton = extract_skeleton(fn)
@@ -292,43 +279,27 @@ def infer_module_counts(module: Module,
                 inferred.append(name)
                 reused += 1
                 continue
-        pending.append((name, skeleton, obs_indices, obs_values, head))
-        pending_fns[name] = (fn, skeleton.labels)
-
-    if pending:
-        if n_shards > 1 and len(pending) > 1:
-            from .sharded import solve_pending_sharded
-            results = solve_pending_sharded(pending, shards=n_shards,
-                                            jobs=n_jobs, cache=cache,
-                                            pool=(sess.pool if sess is not None
-                                                  else None))
-        else:
-            results = {}
-            for name, skeleton, obs_indices, obs_values, head in pending:
-                results[name] = solve_system(name, skeleton, obs_indices,
-                                             obs_values, head, cache)
-        for name, skeleton, obs_indices, obs_values, head in pending:
-            source_flow, inflow, reason = results[name]
-            if reason is not None:
-                fallbacks += 1
-                _record_fallback(name, reason)
-            fn, labels = pending_fns[name]
-            _apply_solution(fn, labels, head, source_flow, inflow)
-            inferred.append(name)
-            if sess is not None:
-                sess.store(name, skeleton.digest, obs_indices, obs_values,
-                           head, source_flow, inflow)
+        source_flow, inflow, reason = solve_system(
+            name, skeleton, obs_indices, obs_values, head, cache)
+        solved += 1
+        if reason is not None:
+            fallbacks += 1
+            _record_fallback(name, reason)
+        _apply_solution(fn, skeleton.labels, head, source_flow, inflow)
+        inferred.append(name)
+        if sess is not None:
+            sess.store(name, skeleton.digest, obs_indices, obs_values,
+                       head, source_flow, inflow)
 
     if sess is not None:
         sess.reused += reused
-        sess.solved += len(pending)
+        sess.solved += solved
         telemetry.count("inference", "incremental_reuse", reused)
-        telemetry.count("inference", "incremental_solves", len(pending))
+        telemetry.count("inference", "incremental_solves", solved)
     telemetry.count("inference", "functions_inferred", len(inferred))
     obs.emit("inference_run", functions=len(module.functions),
              inferred=len(inferred), solver="sparse", reused=reused,
-             solved=len(pending), fallbacks=fallbacks, shards=n_shards,
-             jobs=n_jobs)
+             solved=solved, fallbacks=fallbacks)
 
     if static_fill:
         _fill_static(module, inferred)
@@ -347,7 +318,7 @@ def _infer_module_dense(module: Module,
     telemetry.count("inference", "functions_inferred", len(inferred))
     obs.emit("inference_run", functions=len(module.functions),
              inferred=len(inferred), solver="dense", reused=0,
-             solved=len(inferred), fallbacks=0, shards=1, jobs=1)
+             solved=len(inferred), fallbacks=0)
     if static_fill:
         _fill_static(module, inferred)
     return len(inferred)

@@ -16,10 +16,10 @@ the solver entirely on a repeat:
   trading exactness for skipping the solve entirely.
 
 The session also carries the solver cache (factorizations — see
-``inference.sparse``) and the default shard/pool configuration, so
-``pgo/driver.py`` wires the whole inference configuration through one
-installed object without touching the annotation call chain.  The
-module-level :func:`install`/:func:`uninstall`/:func:`current` mirror the
+``inference.sparse``) and the solver choice, so ``pgo/driver.py`` wires
+the whole inference configuration through one installed object without
+touching the annotation call chain.  The module-level
+:func:`install`/:func:`uninstall`/:func:`current` mirror the
 ``telemetry``/``obs`` session pattern: nothing installed means no
 memoization and zero overhead.
 
@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .sharded import ShardedInferencePool
     from .sparse import SolverCache
 
 #: Memo key minus the observation values: (function name, digest,
@@ -57,22 +56,15 @@ class InferenceSession:
     """One installed inference configuration + solution memo."""
 
     def __init__(self, *, cache: "Optional[SolverCache]" = None,
-                 tolerance: float = 0.0, shards: int = 1, jobs: int = 1,
-                 pool: "Optional[ShardedInferencePool]" = None,
-                 memoize: bool = True, dense: bool = False,
-                 capacity: int = 65536):
+                 tolerance: float = 0.0, memoize: bool = True,
+                 dense: bool = False, capacity: int = 65536):
         from .sparse import default_cache
         #: Factorization cache shared by every solve under this session.
         self.cache = cache if cache is not None else default_cache()
         #: Maximum relative observation drift for tolerance-mode reuse.
         self.tolerance = tolerance
-        #: Default partition width / pool width for module-level solves.
-        self.shards = shards
-        self.jobs = jobs
-        #: Long-lived worker pool (``inference.sharded``), or None.
-        self.pool = pool
         #: ``memoize=False`` keeps the session purely as a configuration
-        #: carrier (shards/jobs/dense) with the memo disabled.
+        #: carrier (cache/dense) with the memo disabled.
         self.memoize = memoize
         #: Route every solve through the dense differential oracle.
         self.dense = dense
@@ -140,16 +132,10 @@ class InferenceSession:
     def clear(self) -> None:
         self._memo.clear()
 
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
     def __repr__(self) -> str:
         return (f"<InferenceSession memo={len(self._memo)} "
                 f"reused={self.reused} solved={self.solved} "
-                f"tol={self.tolerance} shards={self.shards} "
-                f"jobs={self.jobs}>")
+                f"tol={self.tolerance}>")
 
 
 #: The installed session, or None (no memoization — the default).

@@ -210,7 +210,7 @@ class SolverCache:
     def template_raw(self, digest: str, n_blocks: int, edges: EdgeList,
                      obs_indices: Tuple[int, ...],
                      has_head: bool) -> SystemTemplate:
-        """Skeleton-free lookup — what pool workers use (``sharded``)."""
+        """Skeleton-free lookup from the skeleton's raw parts."""
         key: TemplateKey = (digest, obs_indices, has_head)
         entry = self._templates.get(key)
         if entry is not None:
@@ -248,9 +248,8 @@ def solve_raw(cache: SolverCache, digest: str, n_blocks: int,
     """Solve one system from raw parts via the cache.
 
     Returns ``(source_flow, per-block inflow, fallback_reason)``.  Pure in
-    its inputs: identical in-process, in pool workers, and on cache
-    hits vs misses — which is what makes both the sharded merge and the
-    incremental memo sound.
+    its inputs: identical on cache hits vs misses — which is what makes
+    the incremental memo sound.
     """
     template = cache.template_raw(digest, n_blocks, edges, obs_indices,
                                   head_count is not None)

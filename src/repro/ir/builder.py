@@ -29,10 +29,6 @@ class FunctionBuilder:
         self._current = self.fn.add_block(BasicBlock(label))
         return self
 
-    def switch_to(self, label: str) -> "FunctionBuilder":
-        self._current = self.fn.block(label)
-        return self
-
     def _emit(self, instr: Instr) -> Instr:
         if self._current is None:
             raise ValueError("no current block; call .block(label) first")

@@ -193,9 +193,6 @@ class Module:
     def has_function(self, name: str) -> bool:
         return name in self.functions
 
-    def guid_map(self) -> Dict[int, str]:
-        return {fn.guid: name for name, fn in self.functions.items()}
-
     def clone(self) -> "Module":
         mod = Module(self.name)
         mod.global_arrays = dict(self.global_arrays)

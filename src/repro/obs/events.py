@@ -55,8 +55,8 @@ EVENT_TYPES: Dict[str, tuple] = {
     "span": ("name", "category", "duration_us"),
     # One SLO rule verdict (written back by ``repro report``).
     "slo_evaluated": ("rule", "verdict"),
-    # One module-level profile-inference pass: solver path, memo reuse,
-    # sharding configuration (see inference.flow).
+    # One module-level profile-inference pass: solver path, memo reuse
+    # (see inference.flow).
     "inference_run": ("functions", "inferred", "solver"),
     # One classified departure from the primary inference solver
     # (rank_deficient / negative_flow / scipy_missing / ...).

@@ -96,10 +96,12 @@ class ProfileManifest:
         self.quality: Dict[str, float] = quality or {}
         self.profile_stats: Dict[str, float] = profile_stats or {}
         self.created_at = created_at
-        #: Per-shard provenance of a sharded generation, in shard order:
-        #: ``[{"shard": i, "samples": n, "used": n, "broken": n,
-        #: "unique": n, "dropped": {reason: n}}, ...]``.  Empty for serial
-        #: generation — the field is additive, so schema version 1 stands.
+        #: Per-shard provenance, in shard order: ``[{"shard": i,
+        #: "samples": n, "used": n, "broken": n, "unique": n,
+        #: "dropped": {reason: n}}, ...]``.  Profile generation is serial
+        #: and writes none; manifests from older sharded runs or outside
+        #: tools may carry it, and :meth:`shard_accounting_consistent`
+        #: audits it.  The field is additive, so schema version 1 stands.
         self.shards: List[Dict[str, Any]] = shards or []
 
     # -- serialization ------------------------------------------------------

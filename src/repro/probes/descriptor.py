@@ -46,9 +46,6 @@ class FunctionProbeDescriptor:
     def add(self, desc: ProbeDesc) -> None:
         self.probes[desc.probe_id] = desc
 
-    def block_probes(self) -> List[ProbeDesc]:
-        return [p for p in self.probes.values() if p.kind == ProbeKind.BLOCK]
-
     def call_probes(self) -> List[ProbeDesc]:
         return [p for p in self.probes.values() if p.kind == ProbeKind.CALL]
 
@@ -66,9 +63,6 @@ class ProbeDescriptorTable:
     def add(self, desc: FunctionProbeDescriptor) -> None:
         self.by_guid[desc.guid] = desc
         self.by_name[desc.name] = desc
-
-    def get_by_guid(self, guid: int) -> Optional[FunctionProbeDescriptor]:
-        return self.by_guid.get(guid)
 
     def get_by_name(self, name: str) -> Optional[FunctionProbeDescriptor]:
         return self.by_name.get(name)

@@ -64,9 +64,6 @@ class FunctionSamples:
         self.dangling |= other.dangling
         self.finalize()
 
-    def body_count(self, key: BodyKey) -> float:
-        return self.body.get(key, 0.0)
-
     def clone(self) -> "FunctionSamples":
         copy = FunctionSamples(self.name)
         copy.total = self.total

@@ -1,57 +1,26 @@
-"""First-class mergeable profiles: the unit sharded profile generation and
-rolling fleet merges exchange.
+"""Address-level DWARF counts: the additive stage before AutoFDO's collapse.
 
-A :class:`ProfileMap` bundles one *mergeable* profile payload with the exact
-sample accounting that produced it:
-
-* the payload — a :class:`~repro.profile.profiles.FlatProfile` (probe /
-  instr kinds), a :class:`~repro.profile.profiles.ContextProfile`, or a
-  :class:`DwarfRangeCounts` pre-collapse partial;
-* per-reason drop counts plus total/used/broken/unique sample tallies,
-  preserving ``used + dropped == total`` under every merge;
-* the :meth:`~repro.codegen.binary.Binary.identity` stamp of the profiled
-  build — merging partials collected on different builds is refused with
-  :class:`~repro.profile.errors.BinaryMismatchError`, the same contract as
-  :meth:`~repro.hw.perf_data.PerfData.extend`.
-
-Merging is **order-invariant**: every count is an integer-valued float sum
-(exact in IEEE double far past any realistic sample volume), dangling sets
-union, and checksums agree by construction (one probe-metadata table per
-binary).  A profile assembled from any partition of the sample payloads is
-therefore byte-identical — in text-format output — to the profile generated
-from the unpartitioned stream, which is the invariant the sharded engine's
-differential tests pin.
-
-The one non-additive profile kind is DWARF: its max-heuristic
+DWARF is the one non-additive profile kind: its max-heuristic
 (:meth:`~repro.profile.function_samples.FunctionSamples.set_body_max`) takes
 a maximum over per-address sums, and a max of partial sums is not the max of
-the total.  DWARF partials therefore exchange **address-level** counts
-(:class:`DwarfRangeCounts`, plain sums) and collapse to ``(line, disc)``
-keys once, on the merged totals — see
+the total.  Profile generation therefore first sums counts per address
+(:class:`DwarfRangeCounts`, plain sums) and collapses them to
+``(line, disc)`` keys once, on the complete totals — see
 ``repro.correlate.profgen.dwarf_profile_from_counts``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Union
-
-from .context import ContextTrie
-from .errors import BinaryMismatchError
-from .profiles import ContextProfile, FlatProfile
-
-#: Payload kinds a ProfileMap can carry.
-KIND_DWARF_RANGES = "dwarf_ranges"
+from typing import Optional
 
 
 class DwarfRangeCounts:
-    """Pre-collapse DWARF partial: exact per-address and per-callsite sums.
+    """Pre-collapse DWARF counts: exact per-address and per-callsite sums.
 
     ``instr_counts`` maps instruction address -> sample count;
     ``call_counts`` maps ``(call_addr, target_addr)`` -> observed transfer
-    count.  Both are plain sums, so partials merge by counter addition —
-    exact and order-invariant — and the max-heuristic collapse runs once on
-    the merged totals.
+    count.
     """
 
     __slots__ = ("instr_counts", "call_counts")
@@ -63,125 +32,6 @@ class DwarfRangeCounts:
         self.call_counts: Counter = (Counter() if call_counts is None
                                      else call_counts)
 
-    def merge(self, other: "DwarfRangeCounts") -> None:
-        self.instr_counts.update(other.instr_counts)
-        self.call_counts.update(other.call_counts)
-
     def __repr__(self) -> str:
         return (f"<DwarfRangeCounts {len(self.instr_counts)} addrs, "
                 f"{len(self.call_counts)} callsites>")
-
-
-Payload = Union[FlatProfile, ContextProfile, DwarfRangeCounts]
-
-
-def _payload_kind(payload: Payload) -> str:
-    if isinstance(payload, DwarfRangeCounts):
-        return KIND_DWARF_RANGES
-    if isinstance(payload, ContextProfile):
-        return "context"
-    return payload.kind
-
-
-class ProfileMap:
-    """One mergeable profile partial plus its exact sample accounting."""
-
-    __slots__ = ("payload", "kind", "binary_id", "total_samples",
-                 "used_samples", "broken_samples", "unique_samples",
-                 "dropped")
-
-    def __init__(self, payload: Payload, *,
-                 binary_id: Optional[str] = None):
-        self.payload = payload
-        self.kind = _payload_kind(payload)
-        #: Build identity of the profiled binary (``None`` = unstamped).
-        self.binary_id = binary_id
-        self.total_samples = 0
-        self.used_samples = 0
-        self.broken_samples = 0
-        #: Distinct deduplicated payloads this partial covers.
-        self.unique_samples = 0
-        #: Per-reason counts of samples discarded entirely.
-        self.dropped: Counter = Counter()
-
-    # -- construction --------------------------------------------------------
-    @classmethod
-    def empty(cls, kind: str, *,
-              binary_id: Optional[str] = None) -> "ProfileMap":
-        """An identity element for :meth:`merge` of the given kind
-        (``dwarf_ranges`` / ``context`` / a FlatProfile kind)."""
-        if kind == KIND_DWARF_RANGES:
-            payload: Payload = DwarfRangeCounts()
-        elif kind == "context":
-            payload = ContextProfile()
-        else:
-            payload = FlatProfile(kind)
-        return cls(payload, binary_id=binary_id)
-
-    # -- merge algebra -------------------------------------------------------
-    def merge(self, other: "ProfileMap",
-              trie: Optional[ContextTrie] = None) -> None:
-        """Fold ``other`` into this partial.
-
-        Commutative and associative on the counts (integer-valued sums,
-        set unions); raises :class:`BinaryMismatchError` on a build-identity
-        conflict and :class:`ValueError` on a kind conflict.  ``other`` is
-        never mutated, and records only present in ``other`` are cloned in,
-        so partials stay independently reusable.  ``trie`` re-interns
-        context keys through one shared interner (canonical-tuple identity
-        across shard-local interners).
-        """
-        if (self.binary_id is not None and other.binary_id is not None
-                and self.binary_id != other.binary_id):
-            raise BinaryMismatchError(
-                f"cannot merge profile partial from binary {other.binary_id} "
-                f"into partial from binary {self.binary_id}")
-        if self.binary_id is None:
-            self.binary_id = other.binary_id
-        if self.kind != other.kind:
-            raise ValueError(
-                f"cannot merge {other.kind!r} partial into {self.kind!r} "
-                f"partial")
-        payload = self.payload
-        if isinstance(payload, DwarfRangeCounts):
-            payload.merge(other.payload)
-        elif isinstance(payload, ContextProfile):
-            payload.merge(other.payload, trie=trie)
-        else:
-            payload.merge(other.payload)
-        self.total_samples += other.total_samples
-        self.used_samples += other.used_samples
-        self.broken_samples += other.broken_samples
-        self.unique_samples += other.unique_samples
-        self.dropped.update(other.dropped)
-
-    # -- accounting ----------------------------------------------------------
-    def record_aggregation(self, agg) -> None:
-        """Adopt a :class:`~repro.correlate.profgen.RawAggregation`'s exact
-        sample accounting (one shard's unwind pass)."""
-        self.total_samples += agg.total_samples
-        self.used_samples += agg.used_samples
-        self.broken_samples += agg.broken_samples
-        self.unique_samples += agg.unique_samples
-        self.dropped.update(agg.dropped)
-
-    def accounting_consistent(self) -> bool:
-        """The drop-accounting invariant every merge must preserve."""
-        return (self.used_samples + sum(self.dropped.values())
-                == self.total_samples)
-
-    def provenance(self) -> Dict[str, object]:
-        """This partial's accounting as a manifest-ready shard record."""
-        return {
-            "samples": self.total_samples,
-            "used": self.used_samples,
-            "broken": self.broken_samples,
-            "unique": self.unique_samples,
-            "dropped": {reason: int(count)
-                        for reason, count in sorted(self.dropped.items())},
-        }
-
-    def __repr__(self) -> str:
-        return (f"<ProfileMap {self.kind} samples={self.total_samples} "
-                f"used={self.used_samples} "
-                f"dropped={sum(self.dropped.values())}>")

@@ -165,9 +165,6 @@ class TelemetrySession:
     def span(self, name: str, category: str = "", **args: Any) -> _Span:
         return _Span(self, name, category, args)
 
-    def add_remark(self, remark: Remark) -> None:
-        self.remarks.append(remark)
-
     def counter(self, component: str, name: str) -> int:
         return self.counters.get((component, name), 0)
 

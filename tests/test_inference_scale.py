@@ -1,5 +1,5 @@
 """Production-scale inference: sparse-vs-dense differential, skeleton
-digests, the solver cache, incremental re-solve, and sharded solves.
+digests, the solver cache, and incremental re-solve.
 
 The sparse fast path (``inference.sparse``) is pinned against the dense
 formulation it replaced — the dense path stays in the tree purely as the
@@ -18,8 +18,6 @@ from repro.analysis import fill_static_counts
 from repro.inference import (InferenceSession, SolverCache,
                              infer_function_counts, infer_module_counts)
 from repro.inference import incremental as inference_session
-from repro.inference.sharded import (ShardedInferencePool, name_shard,
-                                     partition_tasks, solve_pending_sharded)
 from repro.inference.skeleton import (SINK, SRC, extract_skeleton,
                                       observation_pattern, skeleton_digest)
 from repro.inference.sparse import HAVE_SCIPY, solve_raw
@@ -120,31 +118,6 @@ class TestDifferential:
             assert infer_function_counts(fn, head, dense=dense)
             results.append({b.label: b.count for b in fn.blocks})
         assert_counts_close(results[0], results[1])
-
-    @needs_scipy
-    def test_sharded_solve_identical_to_serial(self):
-        module, heads = build_observed_workload(seed=17)
-        serial = module.clone()
-        infer_module_counts(serial, heads)
-        expected = module_counts(serial)
-        for shards in (2, 4, 8):
-            sharded = module.clone()
-            infer_module_counts(sharded, heads, shards=shards, jobs=1)
-            # In-process sharding is the same code path on a partition:
-            # floats must be *identical*, not merely close.
-            assert module_counts(sharded) == expected
-
-    @needs_scipy
-    def test_pool_solve_identical_to_serial(self):
-        module, heads = build_observed_workload(seed=23)
-        serial = module.clone()
-        infer_module_counts(serial, heads)
-        with ShardedInferencePool(jobs=2) as pool:
-            session = InferenceSession(shards=4, jobs=2, pool=pool,
-                                       memoize=False)
-            pooled = module.clone()
-            infer_module_counts(pooled, heads, session=session)
-        assert module_counts(pooled) == module_counts(serial)
 
 
 class TestSkeleton:
@@ -425,49 +398,9 @@ class TestIncrementalSession:
                                              n_dispatch=1, n_mid=2,
                                              n_wrapper=1, n_workers=1,
                                              n_services=1, requests=30))
-        config = PGODriverConfig(pmu=PMUConfig(period=31), infer_shards=2,
-                                 infer_jobs=1)
+        config = PGODriverConfig(pmu=PMUConfig(period=31))
         assert inference_session.current() is None
         result = run_pgo(module, PGOVariant.AUTOFDO, [30], [30],
                          config=config)
         assert result.eval is not None
         assert inference_session.current() is None  # uninstalled after
-
-
-class TestSharding:
-    def test_name_shard_deterministic_and_in_range(self):
-        names = [f"fn_{i}" for i in range(200)]
-        for shards in (1, 2, 4, 8):
-            assignments = [name_shard(name, shards) for name in names]
-            assert assignments == [name_shard(name, shards)
-                                   for name in names]
-            assert all(0 <= shard < shards for shard in assignments)
-        # FNV-1a spreads generated-style names instead of clumping them.
-        assert len(set(name_shard(name, 8) for name in names)) == 8
-
-    def test_partition_preserves_every_task_once(self):
-        tasks = [(f"fn_{i}", "d", 1, ((SRC, 0),), (), [], None)
-                 for i in range(50)]
-        buckets = partition_tasks(tasks, 4)
-        assert len(buckets) == 4
-        flat = [task for bucket in buckets for task in bucket]
-        assert sorted(name for name, *_ in flat) == sorted(
-            name for name, *_ in tasks)
-
-    @needs_scipy
-    def test_shard_count_never_changes_results(self):
-        fn = build_loop_module().function("main")
-        skeleton = extract_skeleton(fn)
-        pending = [(f"fn_{i}", skeleton, (0, 1, 2, 3),
-                    [10.0, 510.0 + i, 500.0 + i, 10.0], 10.0)
-                   for i in range(16)]
-        baseline = None
-        for shards in (1, 2, 4, 8):
-            solved = solve_pending_sharded(pending, shards=shards, jobs=1,
-                                           cache=SolverCache())
-            flows = {name: (source_flow, inflow.tobytes())
-                     for name, (source_flow, inflow, _) in solved.items()}
-            if baseline is None:
-                baseline = flows
-            else:
-                assert flows == baseline

@@ -1,30 +1,20 @@
-"""Property tests for the mergeable-profile algebra (Hypothesis).
+"""Property tests for the profile merge algebra (Hypothesis).
 
-The sharded engine's byte-identity contract rests on three algebraic
-facts, each pinned here over randomized inputs:
-
-* :meth:`FunctionSamples.merge` and :meth:`ProfileMap.merge` are
-  commutative and associative on every count (integer-valued float sums
-  are exact far past any realistic sample volume, and set unions / dict
-  folds carry no order);
-* merging the partials of *any* partition of a payload set reproduces
-  the unpartitioned profile — so the shard count never changes output
-  bytes (checked through the text dump, the actual artifact);
-* every merge preserves ``used + dropped == total`` exactly.
+* :meth:`FunctionSamples.merge` is commutative and associative on every
+  count, and :meth:`FlatProfile.merge` is commutative (integer-valued
+  float sums are exact far past any realistic sample volume, and set
+  unions / dict folds carry no order);
+* DWARF flat profiles refuse to merge: their max-heuristic body counts
+  are not additive.
 """
-
-from collections import Counter
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
-from repro.profile import (ContextProfile, ContextTrie, FlatProfile,
-                           FunctionSamples, ProfileMap, dump_context_profile,
-                           dump_flat_profile)
-from repro.profile.errors import BinaryMismatchError
+from repro.profile import FlatProfile, FunctionSamples, dump_flat_profile
 
 # -- strategies --------------------------------------------------------------
 
@@ -57,55 +47,12 @@ def flat_profiles(draw):
     return profile
 
 
-CONTEXT_KEYS = st.sampled_from([
-    (("alpha", None),),
-    (("beta", None),),
-    (("alpha", 2), ("beta", None)),
-    (("alpha", 2), ("beta", 4), ("gamma", None)),
-])
-
-
-@st.composite
-def context_profiles(draw):
-    profile = ContextProfile()
-    for context in draw(st.lists(CONTEXT_KEYS, max_size=3, unique=True)):
-        profile.contexts[context] = draw(
-            function_samples(name=context[-1][0]))
-    return profile
-
-
-@st.composite
-def profile_maps(draw):
-    pm = ProfileMap(draw(context_profiles()), binary_id="bin-A")
-    pm.total_samples = draw(st.integers(min_value=0, max_value=10_000))
-    pm.broken_samples = draw(st.integers(min_value=0, max_value=100))
-    pm.unique_samples = draw(st.integers(min_value=0, max_value=1000))
-    dropped = draw(st.dictionaries(
-        st.sampled_from(["broken_stack", "unmapped", "truncated"]),
-        st.integers(min_value=1, max_value=50), max_size=3))
-    pm.dropped = Counter(dropped)
-    # Constructed consistent: used = total - dropped (clamped).
-    pm.used_samples = max(0, pm.total_samples - sum(dropped.values()))
-    pm.total_samples = pm.used_samples + sum(dropped.values())
-    return pm
-
-
 # -- canonical forms for equality ---------------------------------------------
 
 def fs_state(fs):
     return (fs.name, fs.total, fs.head, dict(fs.body),
             {k: dict(v) for k, v in fs.calls.items()},
             fs.checksum, frozenset(fs.attributes), frozenset(fs.dangling))
-
-
-def map_state(pm):
-    payload = pm.payload
-    if isinstance(payload, ContextProfile):
-        dump = dump_context_profile(payload)
-    else:
-        dump = dump_flat_profile(payload)
-    return (pm.kind, pm.binary_id, dump, pm.total_samples, pm.used_samples,
-            pm.broken_samples, pm.unique_samples, dict(pm.dropped))
 
 
 # -- FunctionSamples.merge ----------------------------------------------------
@@ -138,106 +85,20 @@ def test_function_samples_merge_identity(a):
     assert fs_state(merged) == fs_state(a)
 
 
-# -- ProfileMap.merge ---------------------------------------------------------
-
-@given(profile_maps(), profile_maps())
-def test_profile_map_merge_commutative(a, b):
-    ab = ProfileMap.empty("context", binary_id="bin-A")
-    ab.merge(a)
-    ab.merge(b)
-    ba = ProfileMap.empty("context", binary_id="bin-A")
-    ba.merge(b)
-    ba.merge(a)
-    assert map_state(ab) == map_state(ba)
-
-
-@given(profile_maps(), profile_maps(), profile_maps())
-def test_profile_map_merge_associative(a, b, c):
-    left = ProfileMap.empty("context", binary_id="bin-A")
-    for part in (a, b, c):
-        left.merge(part)
-    bc = ProfileMap.empty("context", binary_id="bin-A")
-    bc.merge(b)
-    bc.merge(c)
-    right = ProfileMap.empty("context", binary_id="bin-A")
-    right.merge(a)
-    right.merge(bc)
-    assert map_state(left) == map_state(right)
-
-
-@given(profile_maps(), profile_maps(), profile_maps())
-def test_profile_map_merge_preserves_accounting(a, b, c):
-    merged = ProfileMap.empty("context", binary_id="bin-A")
-    for part in (a, b, c):
-        assert part.accounting_consistent()
-        merged.merge(part)
-    assert merged.accounting_consistent()
-    assert merged.total_samples == sum(p.total_samples for p in (a, b, c))
-    assert merged.dropped == a.dropped + b.dropped + c.dropped
-
-
-@given(profile_maps())
-def test_profile_map_merge_leaves_other_untouched(a):
-    before = map_state(a)
-    merged = ProfileMap.empty("context", binary_id="bin-A")
-    merged.merge(a)
-    merged.merge(a)
-    assert map_state(a) == before
-
+# -- FlatProfile.merge -------------------------------------------------------
 
 @given(flat_profiles(), flat_profiles())
-def test_flat_profile_map_merge_commutative(pa, pb):
-    a, b = ProfileMap(pa), ProfileMap(pb)
-    ab = ProfileMap.empty(FlatProfile.KIND_PROBE)
+def test_flat_profile_merge_commutative(a, b):
+    ab = FlatProfile(FlatProfile.KIND_PROBE)
     ab.merge(a)
     ab.merge(b)
-    ba = ProfileMap.empty(FlatProfile.KIND_PROBE)
+    ba = FlatProfile(FlatProfile.KIND_PROBE)
     ba.merge(b)
     ba.merge(a)
-    assert map_state(ab) == map_state(ba)
-
-
-# -- partition invariance -----------------------------------------------------
-
-@given(st.lists(context_profiles(), min_size=1, max_size=6),
-       st.integers(min_value=1, max_value=5))
-@settings(deadline=None)
-def test_shard_count_never_changes_output(parts, shards):
-    """Fold the same partials through any bucketing: identical dump."""
-    serial = ProfileMap.empty("context", binary_id="bin-A")
-    trie = ContextTrie()
-    for part in parts:
-        serial.merge(ProfileMap(part, binary_id="bin-A"), trie=trie)
-
-    buckets = [ProfileMap.empty("context", binary_id="bin-A")
-               for _ in range(shards)]
-    bucket_tries = [ContextTrie() for _ in range(shards)]
-    for index, part in enumerate(parts):
-        buckets[index % shards].merge(ProfileMap(part, binary_id="bin-A"),
-                                      trie=bucket_tries[index % shards])
-    merged = ProfileMap.empty("context", binary_id="bin-A")
-    merge_trie = ContextTrie()
-    for bucket in buckets:
-        merged.merge(bucket, trie=merge_trie)
-
-    assert map_state(merged) == map_state(serial)
+    assert dump_flat_profile(ab) == dump_flat_profile(ba)
 
 
 # -- guard rails --------------------------------------------------------------
-
-def test_merge_rejects_binary_mismatch():
-    a = ProfileMap.empty("context", binary_id="bin-A")
-    b = ProfileMap.empty("context", binary_id="bin-B")
-    with pytest.raises(BinaryMismatchError):
-        a.merge(b)
-
-
-def test_merge_rejects_kind_mismatch():
-    a = ProfileMap.empty("context")
-    b = ProfileMap.empty(FlatProfile.KIND_PROBE)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
 
 def test_flat_merge_rejects_dwarf_kind():
     a = FlatProfile(FlatProfile.KIND_DWARF)
