@@ -5,7 +5,7 @@ trees, loop nesting, Ball–Larus-style branch-probability heuristics, and
 static block-frequency propagation (the BPI/BFI analogues), plus the two
 clients built on them — a static profile estimator for never-sampled
 functions (blended into ``inference.flow``) and a flow-consistency
-profile linter (``repro lint``).  See DESIGN.md sec. 12.
+profile linter (``repro lint``).  See DESIGN.md sec. 11.
 
 Everything here is pure and deterministic: analyses are recomputed from
 the IR on demand and never cache across mutations.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .. import obs, telemetry
+from .. import telemetry
 from ..inference.flow import infer_module_counts
 from ..ir.function import Function, Module
 from ..ir.instructions import Call, PseudoProbe
@@ -63,8 +63,8 @@ def _reject_checksum(stats: AnnotationStats, name: str, strict: bool,
         raise exc
     telemetry.count("annotate", "checksum_rejected_functions")
     telemetry.count("annotate.drop", "checksum_mismatch")
-    obs.emit("samples_dropped", stage="annotate", reason="checksum_mismatch",
-             count=1, function=name)
+    telemetry.emit("samples_dropped", stage="annotate",
+                   reason="checksum_mismatch", count=1, function=name)
     stats.rejected_checksum.append(name)
 
 

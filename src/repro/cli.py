@@ -205,15 +205,15 @@ def _probed_module(args):
 
 
 def _emit_lint_events(report) -> None:
-    """Per-rule findings + the rollup through the obs event log (no-ops
-    without an installed session, i.e. without ``--events-out``)."""
+    """Per-rule findings + the rollup through the session's event log
+    (no-ops without one, i.e. without ``--events-out``)."""
     for finding in report.findings:
-        obs.emit("lint_finding", rule=finding.rule,
-                 function=finding.function, detail=finding.detail,
-                 count=finding.count)
-    obs.emit("lint_summary", findings=len(report.findings),
-             functions_checked=report.functions_checked,
-             rules=sorted(report.rules_fired()))
+        telemetry.emit("lint_finding", rule=finding.rule,
+                       function=finding.function, detail=finding.detail,
+                       count=finding.count)
+    telemetry.emit("lint_summary", findings=len(report.findings),
+                   functions_checked=report.functions_checked,
+                   rules=sorted(report.rules_fired()))
 
 
 def _print_lint_findings(report) -> None:
@@ -224,7 +224,7 @@ def _print_lint_findings(report) -> None:
 def cmd_lint(args) -> int:
     """Statically audit a saved profile against the workload's CFGs.
 
-    The flow-consistency half of the profile CI gate (DESIGN.md sec. 12):
+    The flow-consistency half of the profile CI gate (DESIGN.md sec. 11):
     checksums say whether the profile describes this CFG, the linter says
     whether its *counts* are even possible on it — flow conservation,
     counts on unreachable blocks, entry-vs-body inversions, loop-depth
@@ -261,7 +261,7 @@ def cmd_validate(args) -> int:
     the profile would still apply — checksum match rate plus unknown-GUID
     count — with a pass/fail exit code.
 
-    With ``--manifest PATH`` (DESIGN.md sec. 11) the profile is also
+    With ``--manifest PATH`` (DESIGN.md sec. 7) the profile is also
     cross-checked against its provenance manifest: the profiled binary's
     identity must match the fresh build, the manifest's drop accounting must
     balance, and the recorded kind/record count must describe the profile
@@ -620,38 +620,41 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not collect:
         return _run_command(args)
 
-    session = telemetry.enable()
-    obs_session = None
+    log = None
     if args.events_out:
         try:
-            obs_session = obs.install(
-                obs.Observability(log=obs.EventLog(args.events_out)))
+            log = obs.EventLog(args.events_out)
         except OSError as exc:
             print(f"error: cannot open event log: {exc}", file=sys.stderr)
-            telemetry.disable()
             return 2
+    session = telemetry.enable()
+    session.log = log
     try:
         with telemetry.span(f"repro {args.command}", "cli",
                             command=args.command):
             rc = _run_command(args)
-        if obs_session is not None:
+        if log is not None:
             if getattr(args, "deterministic_log", False):
                 # Fleet runs promise a byte-reproducible log: keep the
                 # final metrics point but drop wall-clock timing counters
                 # and the span tree (both vary run to run).
-                obs_session.snapshot("final", drop_timings=True)
+                session.snapshot("final", drop_timings=True)
             else:
                 # Final metrics point + the completed span tree, then the
                 # log is a self-contained record of the run.
-                obs_session.snapshot("final")
-                obs_session.export_spans()
+                session.snapshot("final")
+                for record in session.spans:
+                    log.emit("span", name=record.name,
+                             category=record.category or "span",
+                             duration_us=record.duration_us,
+                             start_us=record.start_us, depth=record.depth,
+                             id=record.id, parent=record.parent)
     finally:
         telemetry.disable()
-        if obs_session is not None:
-            obs_session.close()
-            obs.uninstall()
-            print(f"wrote {len(obs_session.log.events)} events to "
-                  f"{args.events_out}", file=sys.stderr)
+        if log is not None:
+            log.close()
+            print(f"wrote {len(log.events)} events to {args.events_out}",
+                  file=sys.stderr)
     try:
         if args.trace_out:
             write_chrome_trace(session, args.trace_out)

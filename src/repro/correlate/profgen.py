@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs, telemetry
+from .. import telemetry
 from ..codegen.binary import Binary
 from ..codegen.probe_metadata import ProbeMetadata
 from ..hw.perf_data import PerfData
@@ -135,8 +135,8 @@ def aggregate_samples(binary: Binary, data: PerfData,
         telemetry.count("correlate", "samples_used", agg.used_samples)
         for reason, dropped in agg.dropped.items():
             telemetry.count("correlate.drop", reason, dropped)
-            obs.emit("samples_dropped", stage="correlate", reason=reason,
-                     count=dropped)
+            telemetry.emit("samples_dropped", stage="correlate", reason=reason,
+                           count=dropped)
         telemetry.count("correlate", "lbr_ranges_attributed",
                         sum(agg.ranges.values()))
         telemetry.count("correlate", "call_transfers_attributed",

@@ -13,7 +13,7 @@ for the *operational* plane of the fleet service:
 * ``text`` — corrupt the serialized text encoding before loading
   (malformed lines: bit-rot, truncation splices);
 * ``fleet`` — operational failures of the continuous-profiling fleet
-  service (DESIGN.md sec. 15): crashed and hung collection workers, slow
+  service (DESIGN.md sec. 14): crashed and hung collection workers, slow
   collections that blow task deadlines, collection results lost in
   flight, and
   clock-skewed generation timestamps.  Fleet injectors have no data-plane
@@ -38,7 +38,7 @@ import random
 from collections import Counter
 from typing import List, Optional, Tuple, Union
 
-from .. import obs
+from .. import telemetry
 from ..codegen.binary import TEXT_BASE
 from ..hw.perf_data import PerfData, PerfSample
 from ..profile.profiles import ContextProfile, FlatProfile
@@ -468,7 +468,7 @@ def _emit_injected(kind: str, report: InjectionReport,
     arrive pre-populated from an earlier pass, so emit the delta)."""
     delta = report.total() - total_before
     if delta:
-        obs.emit("faults_injected", kind=kind, count=delta)
+        telemetry.emit("faults_injected", kind=kind, count=delta)
 
 
 def apply_perf_faults(data: PerfData, spec: Optional[FaultSpec],

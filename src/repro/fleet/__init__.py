@@ -1,4 +1,4 @@
-"""Fault-tolerant continuous-profiling fleet service (DESIGN.md sec. 15).
+"""Fault-tolerant continuous-profiling fleet service (DESIGN.md sec. 14).
 
 A tick-driven, deterministic simulation of a production continuous-
 profiling deployment: a registry of services under rolling releases, a

@@ -3,7 +3,7 @@
 The fleet simulation is tick-driven and deterministic, but the work it
 supervises is real: a completed task attaches the PMU to the service's
 deployed binary, runs its training input, and generates a context profile
-with the serial profgen (DESIGN.md sec. 13).  Sample streams
+with the serial profgen (DESIGN.md sec. 12).  Sample streams
 are seeded per ``(fleet seed, service, revision, task, attempt)``, so a
 retried attempt re-collects a *different* (but replayable) stream — the
 way a rerun on real hardware would — while the same fleet seed reproduces

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from .. import obs
+from .. import telemetry
 from ..faults import FaultSpec
 
 
@@ -91,8 +91,8 @@ class FaultPlane:
         """Emit one ``faults_injected`` event per injector that fired;
         returns the total firing count."""
         for name in sorted(self.fired):
-            obs.emit("faults_injected", kind="fleet",
-                     count=self.fired[name], injector=name)
+            telemetry.emit("faults_injected", kind="fleet",
+                           count=self.fired[name], injector=name)
         return self.total_fired()
 
     def __repr__(self) -> str:

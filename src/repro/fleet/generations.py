@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs
+from .. import telemetry
 from ..correlate.profgen import generate_dwarf_profile
 from ..obs import ProfileManifest
 from ..profile.stats import profile_stats
@@ -134,9 +134,9 @@ class GenerationManager:
         rolling.insert(0, generation)
         del rolling[self.keep:]
         self.stats.bump("generations")
-        obs.emit("profile_generated", variant="csspgo", kind="context",
-                 manifest=record, service=name, generation=index,
-                 skew=skew)
+        telemetry.emit("profile_generated", variant="csspgo", kind="context",
+                       manifest=record, service=name, generation=index,
+                       skew=skew)
         return generation
 
     # -- queries ------------------------------------------------------------
@@ -174,10 +174,10 @@ class GenerationManager:
                 generation.dwarf_profile(service.build.binary)
             self.assigned[name] = (variant, reason)
             self.stats.bump("assignment_changes")
-            obs.emit("fleet_assignment", service=name, variant=variant,
-                     reason=reason, tick=tick,
-                     generation=(generation.index
-                                 if generation is not None else None))
+            telemetry.emit("fleet_assignment", service=name, variant=variant,
+                           reason=reason, tick=tick,
+                           generation=(generation.index
+                                       if generation is not None else None))
 
     def _emit_hops(self, name: str, from_variant: str, to_variant: str,
                    reason: str) -> None:
@@ -185,6 +185,6 @@ class GenerationManager:
         start, end = _RANK[from_variant], _RANK[to_variant]
         for rank in range(start, end):
             self.stats.bump("fallbacks")
-            obs.emit("fallback_taken", from_variant=CHAIN[rank],
-                     to_variant=CHAIN[rank + 1], reason=reason,
-                     detail=f"service {name}")
+            telemetry.emit("fallback_taken", from_variant=CHAIN[rank],
+                           to_variant=CHAIN[rank + 1], reason=reason,
+                           detail=f"service {name}")

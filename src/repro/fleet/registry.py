@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 from typing import Dict, Iterable, List, Optional
 
-from .. import obs
+from .. import telemetry
 from ..pgo.build import BuildArtifacts, build
 from ..pgo.variants import PGOVariant
 from ..workloads import WorkloadSpec, build_workload
@@ -72,8 +72,9 @@ class Service:
         """Roll out the next revision (new code, new binary identity)."""
         self.revision += 1
         self._rebuild()
-        obs.emit("fleet_release", service=self.spec.name,
-                 revision=self.revision, binary=self.binary_id, tick=tick)
+        telemetry.emit("fleet_release", service=self.spec.name,
+                       revision=self.revision, binary=self.binary_id,
+                       tick=tick)
 
     def __repr__(self) -> str:
         return (f"<Service {self.spec.name} rev={self.revision} "

@@ -22,7 +22,7 @@ import heapq
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs
+from .. import telemetry
 from .status import FleetStats
 
 
@@ -135,8 +135,8 @@ class Scheduler:
         self.attempts_seen[task.task_id] = task.attempt
         self._push(task)
         self.stats.bump("tasks_scheduled")
-        obs.emit("fleet_task", action="scheduled", task=task.task_id,
-                 service=task.service, attempt=task.attempt)
+        telemetry.emit("fleet_task", action="scheduled", task=task.task_id,
+                       service=task.service, attempt=task.attempt)
         return task
 
     def retry(self, task: CollectionTask, tick: int, reason: str,
@@ -148,9 +148,9 @@ class Scheduler:
         """
         if task.attempt >= self.policy.max_attempts:
             self.stats.bump("tasks_exhausted")
-            obs.emit("fleet_task", action="exhausted", task=task.task_id,
-                     service=task.service, attempt=task.attempt,
-                     reason=reason)
+            telemetry.emit("fleet_task", action="exhausted", task=task.task_id,
+                           service=task.service, attempt=task.attempt,
+                           reason=reason)
             return False
         failed_attempt = task.attempt
         task.attempt += 1
@@ -159,9 +159,9 @@ class Scheduler:
         self.attempts_seen[task.task_id] = task.attempt
         self._push(task)
         self.stats.bump("tasks_retried")
-        obs.emit("fleet_task", action=action, task=task.task_id,
-                 service=task.service, attempt=task.attempt, reason=reason,
-                 ready=task.ready_tick)
+        telemetry.emit("fleet_task", action=action, task=task.task_id,
+                       service=task.service, attempt=task.attempt,
+                       reason=reason, ready=task.ready_tick)
         return True
 
     def recover_orphan(self, task: CollectionTask, tick: int) -> bool:
@@ -172,8 +172,8 @@ class Scheduler:
         ``orphan-loss`` indicator is the difference and must be 0).
         """
         self.stats.bump("tasks_orphaned")
-        obs.emit("fleet_task", action="orphaned", task=task.task_id,
-                 service=task.service, attempt=task.attempt)
+        telemetry.emit("fleet_task", action="orphaned", task=task.task_id,
+                       service=task.service, attempt=task.attempt)
         if self.retry(task, tick, "worker_crash", action="recovered"):
             self.stats.bump("orphans_requeued")
             return True

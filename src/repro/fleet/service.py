@@ -1,7 +1,7 @@
 """Fleet orchestrator: the supervised scheduler/worker daemon, tick-driven.
 
 One :class:`FleetOrchestrator` wires the whole service together
-(DESIGN.md sec. 15): the service registry with rolling releases, the
+(DESIGN.md sec. 14): the service registry with rolling releases, the
 priority scheduler with retry/backoff, the supervised worker pool with
 heartbeat hang detection and crash recovery, the generation manager with
 freshness-driven degradation, the status collector, and the fleet fault
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .. import obs
+from .. import telemetry
 from ..faults import FaultSpec
 from .collect import CollectionEngine, CollectionOutcome
 from .faults import FaultPlane
@@ -177,8 +177,8 @@ class FleetOrchestrator:
                  services: Optional[List[Service]] = None):
         self.config = config
         self.clock = TickClock()
-        session = obs.active()
-        if session is not None:
+        session = telemetry.current()
+        if session is not None and session.log is not None:
             # Logical time makes a file-backed event log byte-reproducible
             # across runs of the same seed.
             session.log.set_clock(self.clock.now)

@@ -1,11 +1,10 @@
 """Fleet status: counters, periodic rollups, per-service gauges.
 
-The status collector is the fleet's bridge into the observability
-platform (DESIGN.md sec. 11): every ``status_every`` ticks it emits one
+The status collector reports the fleet into the observability session
+(DESIGN.md sec. 7): every ``status_every`` ticks it emits one
 ``fleet_status`` event — the scheduler/worker/generation totals plus the
-fraction of services currently on a fresh context profile — writes
-per-service gauges into the metrics registry, and records a metrics
-time-series point.  ``repro report`` turns those rollups into the
+fraction of services currently on a fresh context profile — sets
+per-service gauges on the session, and writes a ``metrics_snapshot``.  ``repro report`` turns those rollups into the
 ``profile-freshness`` / ``task-retry-rate`` / ``orphan-loss`` SLO verdicts
 (:mod:`repro.obs.health`).
 """
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .. import obs
+from .. import telemetry
 
 #: Canonical counter names, in rollup order.  Kept explicit so the
 #: ``fleet_status`` totals are a stable, complete schema even when a
@@ -93,21 +92,21 @@ class StatusCollector:
     def emit(self, tick: int) -> None:
         self._last_emitted = tick
         fresh = 0
-        session = obs.active()
+        session = telemetry.current()
+        recording = session is not None and session.log is not None
         for service in self.registry:
             variant, reason, _gen = self.generations.eligible(service, tick)
             is_fresh = variant == "csspgo"
             fresh += is_fresh
-            if session is not None:
+            if recording:
                 name = service.spec.name
-                metrics = session.metrics
-                metrics.set_gauge("fleet.service.fresh", float(is_fresh),
+                session.set_gauge("fleet.service.fresh", is_fresh,
                                   service=name)
-                metrics.set_gauge("fleet.service.revision",
-                                  float(service.revision), service=name)
-                metrics.set_gauge(
-                    "fleet.service.generations",
-                    float(self.generations.count_for(name)), service=name)
+                session.set_gauge("fleet.service.revision", service.revision,
+                                  service=name)
+                session.set_gauge("fleet.service.generations",
+                                  self.generations.count_for(name),
+                                  service=name)
         # Freshness is meaningless before the first generation ever lands
         # (a fleet that has not warmed up is not "0% fresh" — there is no
         # profile to be fresh *against*), so warmup rollups carry None and
@@ -115,8 +114,8 @@ class StatusCollector:
         freshness = (fresh / len(self.registry)
                      if len(self.registry) and self.stats.get("generations")
                      else None)
-        obs.emit("fleet_status", tick=tick, totals=self.stats.totals(),
-                 freshness=freshness, services=len(self.registry))
+        telemetry.emit("fleet_status", tick=tick, totals=self.stats.totals(),
+                       freshness=freshness, services=len(self.registry))
         # Timing counters are wall-clock and would break the byte-for-byte
         # reproducibility the tick clock buys the fleet log.
-        obs.snapshot(f"fleet/tick:{tick}", drop_timings=True)
+        telemetry.snapshot(f"fleet/tick:{tick}", drop_timings=True)

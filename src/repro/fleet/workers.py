@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from .. import obs
+from .. import telemetry
 from .collect import CollectionEngine, CollectionError, CollectionOutcome
 from .faults import FaultPlane
 from .registry import ServiceRegistry
@@ -97,8 +97,8 @@ class WorkerPool:
             if worker.state == BUSY and self.plane.worker_hang():
                 worker.state = HUNG
                 self.stats.bump("worker_hangs")
-                obs.emit("fleet_worker", worker=worker.name, event="hung",
-                         task=worker.task.task_id)
+                telemetry.emit("fleet_worker", worker=worker.name,
+                               event="hung", task=worker.task.task_id)
             if worker.state == HUNG:
                 # A wedged worker neither heartbeats nor finishes; only
                 # hang detection can reclaim it.
@@ -116,21 +116,21 @@ class WorkerPool:
         """Worker died mid-task: orphan recovery + respawn into the slot."""
         task = worker.task
         self.stats.bump("worker_crashes")
-        obs.emit("fleet_worker", worker=worker.name, event="crashed",
-                 task=task.task_id)
+        telemetry.emit("fleet_worker", worker=worker.name, event="crashed",
+                       task=task.task_id)
         self.scheduler.recover_orphan(task, tick)
         worker.incarnation += 1
         worker.idle()
         self.stats.bump("worker_respawns")
-        obs.emit("fleet_worker", worker=worker.name, event="respawned")
+        telemetry.emit("fleet_worker", worker=worker.name, event="respawned")
 
     def _cancel(self, worker: SimWorker, tick: int, reason: str) -> None:
         """Cooperative cancellation (hang detection or blown deadline)."""
         task = worker.task
         self.stats.bump("tasks_cancelled")
-        obs.emit("fleet_task", action="cancelled", task=task.task_id,
-                 service=task.service, attempt=task.attempt, reason=reason,
-                 worker=worker.name)
+        telemetry.emit("fleet_task", action="cancelled", task=task.task_id,
+                       service=task.service, attempt=task.attempt,
+                       reason=reason, worker=worker.name)
         self.scheduler.retry(task, tick, reason)
         worker.idle()
 
@@ -141,17 +141,17 @@ class WorkerPool:
             outcome = self.engine.collect(service, task, self.plane)
         except CollectionError as exc:
             self.stats.bump("tasks_failed")
-            obs.emit("fleet_task", action="failed", task=task.task_id,
-                     service=task.service, attempt=task.attempt,
-                     reason=str(exc))
+            telemetry.emit("fleet_task", action="failed", task=task.task_id,
+                           service=task.service, attempt=task.attempt,
+                           reason=str(exc))
             self.scheduler.retry(task, tick, "result_lost")
             worker.idle()
             return
         self.stats.bump("tasks_completed")
-        obs.emit("fleet_task", action="completed", task=task.task_id,
-                 service=task.service, attempt=task.attempt,
-                 worker=worker.name, samples=outcome.samples,
-                 duration=tick - worker.started_tick)
+        telemetry.emit("fleet_task", action="completed", task=task.task_id,
+                       service=task.service, attempt=task.attempt,
+                       worker=worker.name, samples=outcome.samples,
+                       duration=tick - worker.started_tick)
         worker.idle()
         self.on_complete(task, outcome, tick)
 
@@ -174,9 +174,10 @@ class WorkerPool:
             worker.finish_tick = tick + duration
             worker.last_heartbeat = tick
             self.stats.bump("tasks_dispatched")
-            obs.emit("fleet_task", action="dispatched", task=task.task_id,
-                     service=task.service, attempt=task.attempt,
-                     worker=worker.name, duration=duration)
+            telemetry.emit("fleet_task", action="dispatched",
+                           task=task.task_id, service=task.service,
+                           attempt=task.attempt, worker=worker.name,
+                           duration=duration)
         for task in due[index:]:
             # More due work than idle workers: defer, never drop.
             self.scheduler.defer(task, tick)

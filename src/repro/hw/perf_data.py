@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from .. import telemetry
 from ..profile.errors import BinaryMismatchError
 
 
@@ -81,12 +82,9 @@ class PerfData:
         """
         if (self.binary_id is not None and other.binary_id is not None
                 and self.binary_id != other.binary_id):
-            # Imported lazily: hw is a leaf layer and must not pull the
-            # obs/telemetry stack in at module-import time.
-            from .. import obs, telemetry
             telemetry.count("pgo.merge", "rejected")
-            obs.emit("merge_rejected", site=site, ours=self.binary_id,
-                     theirs=other.binary_id)
+            telemetry.emit("merge_rejected", site=site, ours=self.binary_id,
+                           theirs=other.binary_id)
             raise BinaryMismatchError(
                 f"cannot merge perf data from binary {other.binary_id} "
                 f"into session from binary {self.binary_id} "

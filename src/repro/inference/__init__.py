@@ -3,7 +3,7 @@
 ``flow`` holds the formulation and both solver paths (sparse default,
 dense differential oracle); ``skeleton``/``sparse`` the structure-keyed
 factorization cache; ``incremental`` the cross-run solution memo.  See
-DESIGN.md sec. 14.
+DESIGN.md sec. 13.
 """
 
 from .flow import (CONSERVATION_WEIGHT, infer_function_counts,

@@ -25,7 +25,7 @@ branch-probability frequencies).  The blend is conservative by contract:
 functions inference ran on keep their counts bit-for-bit; only functions
 the sampler never saw are filled.
 
-Two solver paths share this formulation (DESIGN.md sec. 14):
+Two solver paths share this formulation (DESIGN.md sec. 13):
 
 * the **sparse path** (default when scipy is available) builds the system
   from a cached :class:`~repro.inference.sparse.SystemTemplate` — COO/CSR
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import obs, telemetry
+from .. import telemetry
 from ..ir.cfg import reachable_blocks
 from ..ir.function import Function, Module
 from ..ir.instructions import Ret
@@ -76,7 +76,7 @@ def _record_fallback(fn_name: str, reason: str) -> None:
     """Count one classified departure from the primary solver."""
     telemetry.count("inference", "solver_fallback")
     telemetry.count("inference", f"solver_fallback.{reason}")
-    obs.emit("solver_fallback", function=fn_name, reason=reason)
+    telemetry.emit("solver_fallback", function=fn_name, reason=reason)
 
 
 def _lstsq_clip(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -297,9 +297,9 @@ def infer_module_counts(module: Module,
         telemetry.count("inference", "incremental_reuse", reused)
         telemetry.count("inference", "incremental_solves", solved)
     telemetry.count("inference", "functions_inferred", len(inferred))
-    obs.emit("inference_run", functions=len(module.functions),
-             inferred=len(inferred), solver="sparse", reused=reused,
-             solved=solved, fallbacks=fallbacks)
+    telemetry.emit("inference_run", functions=len(module.functions),
+                   inferred=len(inferred), solver="sparse", reused=reused,
+                   solved=solved, fallbacks=fallbacks)
 
     if static_fill:
         _fill_static(module, inferred)
@@ -316,9 +316,9 @@ def _infer_module_dense(module: Module,
         if infer_function_counts(fn, head, dense=True):
             inferred.append(name)
     telemetry.count("inference", "functions_inferred", len(inferred))
-    obs.emit("inference_run", functions=len(module.functions),
-             inferred=len(inferred), solver="dense", reused=0,
-             solved=len(inferred), fallbacks=0)
+    telemetry.emit("inference_run", functions=len(module.functions),
+                   inferred=len(inferred), solver="dense", reused=0,
+                   solved=len(inferred), fallbacks=0)
     if static_fill:
         _fill_static(module, inferred)
     return len(inferred)

@@ -1,134 +1,37 @@
-"""Persistent observability: event log, metrics time-series, provenance
-manifests, health/SLO reporting (DESIGN.md sec. 11).
+"""Durable observability formats and their offline readers (DESIGN.md
+sec. 7).
 
-Layered *on top of* :mod:`repro.telemetry`: telemetry stays the cheap
-in-process collector; obs makes it durable.  One :class:`Observability`
-session bundles the structured :class:`~repro.obs.events.EventLog` with a
-:class:`~repro.obs.metrics.MetricsRegistry` bridged from the active
-telemetry session.  Like telemetry, the module-level API is a no-op while
-nothing is installed::
+Collection lives in one place, the :mod:`repro.telemetry` session; this
+package holds what outlives the process:
 
-    from repro import obs
-    obs.emit("fallback_taken", from_variant="csspgo",
-             to_variant="autofdo", reason="ProfileStaleError")
-    obs.snapshot("variant:csspgo")   # metrics time-series point
+* :mod:`~repro.obs.events` — the event-log schema, the append-only
+  :class:`EventLog` a session writes through ``telemetry.emit`` /
+  ``telemetry.snapshot``, and the permissive reader;
+* :mod:`~repro.obs.provenance` — per-profile provenance manifests;
+* :mod:`~repro.obs.health` — SLO rules and indicators over an event stream;
+* :mod:`~repro.obs.dashboard` — the terminal/HTML report ``repro report``
+  renders from a log.
 
-The CLI installs a session for ``--events-out PATH``; the ``repro report``
-subcommand turns the resulting JSONL into the terminal/HTML dashboard and
-the SLO scorecard.
+The CLI attaches a file-backed log to its session for ``--events-out
+PATH``::
+
+    session = telemetry.enable(telemetry.TelemetrySession(
+        log=obs.EventLog(path)))
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from .. import telemetry
 from .dashboard import build_report, render_html, render_text
-from .events import (EVENT_TYPES, Event, EventLog, events_to_dicts,
-                     read_event_log)
+from .events import EVENT_TYPES, Event, EventLog, read_event_log
 from .health import (HealthReport, SLORule, compute_indicators,
                      default_rules, evaluate_health, parse_rules)
-from .metrics import Histogram, MetricsRegistry, SeriesPoint
 from .provenance import (MANIFEST_SUFFIX, ProfileManifest, manifest_path_for,
                          profile_block_counts, trim_overlap_score)
 
-
-class Observability:
-    """One durable observability session: event log + metrics registry."""
-
-    def __init__(self, log: Optional[EventLog] = None,
-                 metrics: Optional[MetricsRegistry] = None):
-        self.log = log if log is not None else EventLog()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    def emit(self, etype: str, **fields: Any) -> Event:
-        return self.log.emit(etype, **fields)
-
-    def snapshot(self, label: str = "", *,
-                 drop_timings: bool = False) -> SeriesPoint:
-        """Sync telemetry into the registry, record a time-series point,
-        and persist it as a ``metrics_snapshot`` event.
-
-        The sync re-enumerates every telemetry counter each call, so
-        counters created lazily after a previous snapshot (cache counters,
-        late drop reasons) are always picked up.  ``drop_timings`` omits
-        wall-clock duration counters (``*_ns``/``*_us``) from the
-        *persisted* event — they vary run to run, and a deterministic
-        producer (the fleet simulation) needs its log byte-reproducible.
-        """
-        self.metrics.sync_telemetry(telemetry.current())
-        point = self.metrics.snapshot(self.log.now(), label)
-        totals = point.values
-        if drop_timings:
-            totals = {name: value for name, value in totals.items()
-                      if not name.endswith(("_ns", "_us"))}
-        self.log.emit("metrics_snapshot", label=label, totals=totals)
-        return point
-
-    def export_spans(self) -> int:
-        """Persist the active telemetry session's spans as ``span`` events
-        (called once at end of run); returns the number exported."""
-        session = telemetry.current()
-        if session is None:
-            return 0
-        for record in session.spans:
-            self.log.emit("span", name=record.name,
-                          category=record.category or "span",
-                          duration_us=record.duration_us,
-                          start_us=record.start_us, depth=record.depth)
-        return len(session.spans)
-
-    def close(self) -> None:
-        self.log.close()
-
-    def __repr__(self) -> str:
-        return f"<Observability log={self.log!r} metrics={self.metrics!r}>"
-
-
-#: The active session, or None (observability off — the default).
-_active: Optional[Observability] = None
-
-
-def install(session: Optional[Observability] = None) -> Observability:
-    """Install ``session`` (or a fresh in-memory one) process-wide."""
-    global _active
-    _active = session if session is not None else Observability()
-    return _active
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-def active() -> Optional[Observability]:
-    return _active
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def emit(etype: str, **fields: Any) -> None:
-    """Emit one event to the installed session; no-op when none is."""
-    session = _active
-    if session is not None:
-        session.emit(etype, **fields)
-
-
-def snapshot(label: str = "", *, drop_timings: bool = False) -> None:
-    """Record a metrics time-series point; no-op when not installed."""
-    session = _active
-    if session is not None:
-        session.snapshot(label, drop_timings=drop_timings)
-
-
 __all__ = [
-    "EVENT_TYPES", "Event", "EventLog", "HealthReport", "Histogram",
-    "MANIFEST_SUFFIX", "MetricsRegistry", "Observability", "ProfileManifest",
-    "SLORule", "SeriesPoint", "active", "build_report", "compute_indicators",
-    "default_rules", "emit", "enabled", "evaluate_health", "events_to_dicts",
-    "install", "manifest_path_for", "parse_rules", "profile_block_counts",
-    "read_event_log", "render_html", "render_text", "snapshot",
-    "trim_overlap_score", "uninstall",
+    "EVENT_TYPES", "Event", "EventLog", "HealthReport", "MANIFEST_SUFFIX",
+    "ProfileManifest", "SLORule", "build_report", "compute_indicators",
+    "default_rules", "evaluate_health", "manifest_path_for",
+    "parse_rules", "profile_block_counts", "read_event_log", "render_html",
+    "render_text", "trim_overlap_score",
 ]

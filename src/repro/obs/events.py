@@ -1,11 +1,11 @@
-"""Structured event log: the durable half of the telemetry story.
+"""Structured event log: the durable record of a run.
 
-:mod:`repro.telemetry` answers "what is happening *right now* in this
-process" — counters, spans and remarks that vanish at exit.  The event log
-answers "what happened, when, and why" across runs: an **append-only JSONL
-stream** of typed events that a fleet-side status collector (ROADMAP item 1)
-can tail, aggregate and alert on, the way the Score-P/LLVM plug-in work
-streams tool-consumable instrumentation records.
+The :mod:`repro.telemetry` session collects counters, spans and remarks
+in memory; with an :class:`EventLog` attached it also writes "what
+happened, when, and why" as an **append-only JSONL stream** of typed
+events that a fleet-side status collector can tail, aggregate and alert
+on, the way the Score-P/LLVM plug-in work streams tool-consumable
+instrumentation records.
 
 Every event is one JSON object per line::
 
@@ -18,17 +18,16 @@ type's required fields — emission validates both, so a malformed event is a
 bug at the *producer*, never a surprise at the consumer.  Extra fields
 beyond the required set are allowed (schemas grow forward-compatibly).
 
-The module-level :func:`emit` mirrors the telemetry pattern: it writes to
-the process-wide installed :class:`EventLog` and is a no-op (one global
-check) when none is installed, so instrumented code paths cost nothing in
-normal operation.
+Producers call ``telemetry.emit``, which writes to the active session's
+log and is a no-op when no session or no log is installed, so
+instrumented code paths cost nothing in normal operation.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
 
 #: Registered event types -> tuple of required field names.  ``seq`` and
@@ -49,9 +48,11 @@ EVENT_TYPES: Dict[str, tuple] = {
     "faults_injected": ("kind", "count"),
     # One benchmark measurement (bench_profgen/bench_executor --events-out).
     "bench_point": ("bench", "metric", "value"),
-    # Rolling totals of the metrics registry (the time-series backbone).
+    # Rolling totals of the session's counters and gauges (the
+    # time-series backbone).
     "metrics_snapshot": ("label", "totals"),
-    # One completed telemetry span, exported at end of run.
+    # One completed telemetry span, exported at end of run; ``id`` and
+    # ``parent`` (the enclosing span's id, or null) rebuild the tree.
     "span": ("name", "category", "duration_us"),
     # One SLO rule verdict (written back by ``repro report``).
     "slo_evaluated": ("rule", "verdict"),
@@ -238,6 +239,3 @@ def read_event_log(path: str, strict: bool = False
             malformed += 1
     return events, malformed
 
-
-def events_to_dicts(events: Iterable[Event]) -> List[Dict[str, Any]]:
-    return [event.to_dict() for event in events]

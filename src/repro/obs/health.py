@@ -1,6 +1,6 @@
 """Declarative SLO rules evaluated over an event log.
 
-Rule grammar (DESIGN.md sec. 11) — one rule per line, ``#`` comments::
+Rule grammar (DESIGN.md sec. 7) — one rule per line, ``#`` comments::
 
     <name>: <indicator> <op> <warn>/<fail>
 
@@ -143,7 +143,7 @@ def default_rules() -> List[SLORule]:
                 "worst slowdown vs checked-in benchmark baseline"),
         SLORule("lint-clean", "lint_findings", "<=", 0.0, 0.0,
                 "flow-consistency violations found by the profile linter"),
-        # Fleet-service rules (DESIGN.md sec. 15) — skip on non-fleet logs.
+        # Fleet-service rules (DESIGN.md sec. 14) — skip on non-fleet logs.
         SLORule("profile-freshness", "profile_freshness", ">=", 0.70, 0.40,
                 "mean fraction of services on a fresh context profile"),
         SLORule("task-retry-rate", "task_retry_rate", "<=", 0.50, 2.0,

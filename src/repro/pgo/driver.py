@@ -19,14 +19,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import obs, telemetry
+from .. import telemetry
 from ..codegen.lower import LowerConfig
 from ..correlate.profgen import (generate_context_profile,
                                  generate_dwarf_profile,
                                  generate_probe_profile)
 from ..faults import FaultSpec, apply_perf_faults, apply_profile_faults
 from ..hw.executor import MachineExecutor, execute, make_pmu
-from ..obs import ProfileManifest, profile_block_counts, trim_overlap_score
+from ..obs import (EventLog, ProfileManifest, profile_block_counts,
+                   trim_overlap_score)
 from ..hw.perf_data import PerfData
 from ..hw.pmu import PMU, PMUConfig
 from ..inference import incremental as inference_session
@@ -181,18 +182,18 @@ def run_pgo(source: Module, variant: PGOVariant,
                 dense=config.dense_inference))
 
     try:
-        obs.emit("run_started", variant=variant.value,
-                 iterations=config.profile_iterations,
-                 independent=config.independent_profiling,
-                 strict=config.strict_profile)
+        telemetry.emit("run_started", variant=variant.value,
+                       iterations=config.profile_iterations,
+                       independent=config.independent_profiling,
+                       strict=config.strict_profile)
         with telemetry.span(f"variant:{variant.value}", "pgo",
                             variant=variant.value):
             result = _run_pgo_cycle(source, variant, train_args, eval_args,
                                     config, result, jobs)
-        obs.emit("run_finished", variant=variant.value,
-                 cycles=result.eval.cycles if result.eval else None,
-                 degraded_to=result.extras.get("degraded_variant"))
-        obs.snapshot(f"variant:{variant.value}")
+        telemetry.emit("run_finished", variant=variant.value,
+                       cycles=result.eval.cycles if result.eval else None,
+                       degraded_to=result.extras.get("degraded_variant"))
+        telemetry.snapshot(f"variant:{variant.value}")
     finally:
         if installed_session is not None:
             inference_session.uninstall()
@@ -242,15 +243,14 @@ def _record_provenance(result: PGORunResult, variant: PGOVariant, kind: str,
                        counters_before: Optional[Dict],
                        quality: Dict[str, float]) -> None:
     """Build this profile's provenance manifest, stash it on the result,
-    and emit it as a ``profile_generated`` event.  No-op unless an
-    observability session is installed."""
-    session_obs = obs.active()
-    if session_obs is None:
-        return
+    and emit it as a ``profile_generated`` event.  No-op unless the
+    installed session has an event log."""
     session = telemetry.current()
+    if session is None or session.log is None:
+        return
     drops: Dict[str, int] = {}
     samples_used = None
-    if session is not None and counters_before is not None:
+    if counters_before is not None:
         for (component, name), value in session.counters.items():
             delta = value - counters_before.get((component, name), 0)
             if delta and component.endswith(".drop"):
@@ -275,11 +275,11 @@ def _record_provenance(result: PGORunResult, variant: PGOVariant, kind: str,
                 "injected": dict(result.extras.get("fault_digest", {}))},
         drops=drops, quality=dict(quality),
         profile_stats=profile_stats(profile),
-        created_at=session_obs.log.now())
+        created_at=session.log.now())
     record = manifest.to_dict()
     result.extras.setdefault("manifests", []).append(record)
-    obs.emit("profile_generated", variant=variant.value, kind=kind,
-             manifest=record)
+    telemetry.emit("profile_generated", variant=variant.value, kind=kind,
+                   manifest=record)
 
 
 def _generate_profile(variant: PGOVariant, profiling: BuildArtifacts,
@@ -294,16 +294,15 @@ def _generate_profile(variant: PGOVariant, profiling: BuildArtifacts,
     before profgen and profile faults corrupt the generated profile *before*
     trimming and pre-inlining, so every downstream consumer sees them.
 
-    With an observability session installed, every generated profile gets a
+    With an event log attached to the session, every generated profile gets a
     provenance manifest (binary identity, sample lineage, fault digest,
     drop accounting, trim-fidelity score) recorded under
     ``result.extras["manifests"]`` and emitted as a ``profile_generated``
     event.
     """
-    observing = obs.enabled()
     session = telemetry.current()
-    counters_before = (dict(session.counters)
-                       if observing and session is not None else None)
+    observing = session is not None and session.log is not None
+    counters_before = dict(session.counters) if observing else None
     data = _fault_perf(data, config, result)
     quality: Dict[str, float] = {}
     with telemetry.span("profile-generation", "stage"):
@@ -425,9 +424,9 @@ def _build_optimized(source: Module, variant: PGOVariant, profile,
             "pgo-driver", "ProfileFallback", "<module>",
             f"profile unusable for {current_variant.value} ({detail}); "
             f"degrading to {next_variant.value}", reason=reason)
-        obs.emit("fallback_taken", from_variant=current_variant.value,
-                 to_variant=next_variant.value, reason=reason,
-                 detail=detail)
+        telemetry.emit("fallback_taken", from_variant=current_variant.value,
+                       to_variant=next_variant.value, reason=reason,
+                       detail=detail)
         chain.append(f"{current_variant.value}->{next_variant.value}")
         reasons.append(reason)
         hops.append({"from": current_variant.value,
@@ -456,10 +455,10 @@ def _build_optimized(source: Module, variant: PGOVariant, profile,
             manifests[-1]["fallbacks"] = hops
     stats = artifacts.annotation
     if stats is not None:
-        obs.emit("profile_applied", variant=current_variant.value,
-                 annotated=len(stats.annotated),
-                 rejected_checksum=len(stats.rejected_checksum),
-                 no_profile=len(stats.no_profile))
+        telemetry.emit("profile_applied", variant=current_variant.value,
+                       annotated=len(stats.annotated),
+                       rejected_checksum=len(stats.rejected_checksum),
+                       no_profile=len(stats.no_profile))
     return artifacts
 
 
@@ -546,8 +545,8 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
             profile: Dict[Tuple[str, int], float] = dict(run.instr_counters)
             result.profile = profile
             result.profiling_build = profiling
-            session_obs = obs.active()
-            if session_obs is not None:
+            session = telemetry.current()
+            if session is not None and session.log is not None:
                 # Instr PGO reads exact counters, so lineage is just the
                 # instrumented binary and its counter census — no perf-data
                 # chain, no drops, no trim.
@@ -561,12 +560,12 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
                                      else None),
                             "injected": {}},
                     drops={}, quality={}, profile_stats={},
-                    created_at=session_obs.log.now())
+                    created_at=session.log.now())
                 record = manifest.to_dict()
                 result.extras.setdefault("manifests", []).append(record)
-                obs.emit("profile_generated", variant=variant.value,
-                         kind="instr", manifest=record)
-            obs.snapshot(f"{variant.value}/iter:0")
+                telemetry.emit("profile_generated", variant=variant.value,
+                               kind="instr", manifest=record)
+            telemetry.snapshot(f"{variant.value}/iter:0")
         with telemetry.span("optimizing-build", "stage"):
             final = _build_optimized(source, variant, profile, config, result,
                                      imap_from_profiling=profiling.imap)
@@ -584,7 +583,7 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
                 profiling, train_args, config, result, jobs)
         result.extras["samples"] = len(data)
         result.extras["samples_per_iteration"] = samples_per_iteration
-        obs.snapshot(f"{variant.value}/collect")
+        telemetry.snapshot(f"{variant.value}/collect")
         profile, inference = _generate_profile(variant, profiling, data,
                                                config, result)
         if inference is not None:
@@ -625,7 +624,7 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
                     variant, profiling, data, config, result)
                 if inference is not None:
                     inference_per_iteration.append(inference)
-            obs.snapshot(f"{variant.value}/iter:{iteration}")
+            telemetry.snapshot(f"{variant.value}/iter:{iteration}")
         result.extras["samples_per_iteration"] = samples_per_iteration
         if inference_per_iteration:
             result.extras["frame_inference_per_iteration"] = \
@@ -646,26 +645,23 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
 def _run_pgo_worker(source: Module, variant: PGOVariant,
                     train_args: Sequence[int], eval_args: Sequence[int],
                     config: Optional[PGODriverConfig],
-                    collect_telemetry: bool, collect_events: bool):
+                    collect: bool, collect_events: bool):
     """Pool-worker wrapper around :func:`run_pgo` (module-level, picklable).
 
-    When the parent is collecting telemetry/events, the worker collects
-    into fresh local sessions and ships them back with the result so the
-    parent can merge — parallelism must not punch holes in observability.
+    When the parent is collecting, the worker collects into a fresh local
+    session (with an in-memory event log when the parent has a log) and
+    ships it back with the result for the parent to merge — parallelism
+    must not punch holes in observability.
     """
-    session = (telemetry.enable(telemetry.TelemetrySession())
-               if collect_telemetry else None)
-    obs_session = obs.install() if collect_events else None
+    if not collect:
+        return run_pgo(source, variant, train_args, eval_args, config), None
+    session = telemetry.enable(telemetry.TelemetrySession(
+        log=EventLog() if collect_events else None))
     try:
         result = run_pgo(source, variant, train_args, eval_args, config)
     finally:
-        if collect_telemetry:
-            telemetry.disable()
-        if collect_events:
-            obs.uninstall()
-    events = (obs.events_to_dicts(obs_session.log.events)
-              if obs_session is not None else None)
-    return result, session, events
+        telemetry.disable()
+    return result, session
 
 
 def compare_variants(source: Module, train_args: Sequence[int],
@@ -679,10 +675,11 @@ def compare_variants(source: Module, train_args: Sequence[int],
     Each variant's cycle is fully deterministic and shares no mutable state
     with the others (every cycle builds from a fresh clone of ``source`` and
     seeds its own PMU), so the result dict — still in ``variants`` order —
-    is byte-identical to a serial run.  Telemetry and observability events
-    recorded inside worker processes are merged back into the parent's
-    sessions in ``variants`` order: counters add, spans/remarks append, and
-    worker events are re-emitted (re-stamped with parent sequence/clock).
+    is byte-identical to a serial run.  Each worker's session is merged
+    into the parent's in ``variants`` order
+    (:meth:`~repro.telemetry.TelemetrySession.merge`): counters add,
+    spans/remarks append, and worker events are re-emitted (re-stamped
+    with parent sequence/clock).
     """
     if variants is None:
         variants = [PGOVariant.NONE, PGOVariant.AUTOFDO,
@@ -693,24 +690,17 @@ def compare_variants(source: Module, train_args: Sequence[int],
                                  config)
                 for variant in variants}
     telemetry.count("pgo", "parallel_compare_jobs", min(jobs, len(variants)))
-    parent_session = telemetry.current()
-    parent_obs = obs.active()
+    session = telemetry.current()
     results: Dict[PGOVariant, PGORunResult] = {}
     with ProcessPoolExecutor(max_workers=min(jobs, len(variants))) as pool:
         futures = [pool.submit(_run_pgo_worker, source, variant, train_args,
-                               eval_args, config,
-                               parent_session is not None,
-                               parent_obs is not None)
+                               eval_args, config, session is not None,
+                               session is not None and session.log is not None)
                    for variant in variants]
         for variant, future in zip(variants, futures):
-            result, worker_session, worker_events = future.result()
-            if parent_session is not None and worker_session is not None:
-                parent_session.merge(worker_session)
-            if parent_obs is not None and worker_events:
-                for record in worker_events:
-                    fields = {key: value for key, value in record.items()
-                              if key not in ("type", "seq", "ts")}
-                    parent_obs.emit(record["type"], **fields)
+            result, worker_session = future.result()
+            if worker_session is not None:
+                session.merge(worker_session)
             results[variant] = result
     return results
 

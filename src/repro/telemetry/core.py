@@ -1,5 +1,6 @@
-"""Process-wide telemetry: statistics counters, hierarchical span timers,
-and an optimization-remarks stream.
+"""The process-wide observability session: statistics counters, gauges,
+hierarchical span timers, an optimization-remarks stream and, optionally,
+a durable event log.
 
 This is the reproduction's analogue of the introspection machinery the paper's
 production deployment leans on:
@@ -8,23 +9,32 @@ production deployment leans on:
   llvm-profgen's warning tallies — monotonically increasing named integers,
   keyed ``(component, name)``;
 * **spans** mirror ``-time-passes`` / ``-ftime-trace``: wall-clock intervals
-  with nesting, exportable as Chrome trace events;
+  with an ``id`` and a ``parent`` id, exportable as Chrome trace events;
 * **remarks** mirror ``-fsave-optimization-record``: one record per
-  optimization decision (inlined, unrolled, split, …) with a debug location.
+  optimization decision (inlined, unrolled, split, …) with a debug location;
+* the **event log** (:class:`~repro.obs.events.EventLog`, when attached)
+  receives :func:`emit` events and :func:`snapshot` rollups of the counters
+  and gauges, so a run leaves a self-contained JSONL record.
 
-Telemetry is *opt-in* and globally scoped.  The disabled path is
-zero-overhead by construction: every module-level entry point checks one
-global and returns immediately — no timestamps are taken, nothing is
-allocated, and ``span()`` returns a shared no-op context manager.  Enabling
-telemetry therefore cannot change any compilation or correlation result,
-only observe it (single-threaded by design, like the rest of the simulator).
+There is one session and one install (:func:`enable`).  Collection is
+*opt-in*, and the disabled path is zero-overhead by construction: every
+module-level entry point checks one global and returns immediately — no
+timestamps are taken, nothing is allocated, and ``span()`` returns a shared
+no-op context manager.  :func:`emit` and :func:`snapshot` are likewise
+no-ops while no session, or a session without a log, is installed.
+Enabling collection therefore cannot change any compilation or correlation
+result, only observe it (single-threaded by design, like the rest of the
+simulator).
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from ..obs.events import EventLog
 
 
 class Remark:
@@ -69,18 +79,31 @@ class Remark:
 
 
 class SpanRecord:
-    """One completed span: a named wall-clock interval with nesting depth."""
+    """One completed span: a named wall-clock interval.
 
-    __slots__ = ("name", "category", "start_us", "duration_us", "depth", "args")
+    ``id`` is unique within the session (spans are numbered as they open)
+    and ``parent`` is the id of the span it was opened in (``None`` at the
+    top level), so the tree survives export.  ``tid`` is the trace thread:
+    1 for spans recorded in this process, a fresh one per merged session,
+    whose timestamps count from its own epoch.
+    """
+
+    __slots__ = ("name", "category", "start_us", "duration_us", "depth",
+                 "args", "id", "parent", "tid")
 
     def __init__(self, name: str, category: str, start_us: float,
-                 duration_us: float, depth: int, args: Dict[str, Any]):
+                 duration_us: float, depth: int, args: Dict[str, Any],
+                 id: Optional[int] = None, parent: Optional[int] = None,
+                 tid: int = 1):
         self.name = name
         self.category = category
         self.start_us = start_us
         self.duration_us = duration_us
         self.depth = depth
         self.args = args
+        self.id = id
+        self.parent = parent
+        self.tid = tid
 
     def __repr__(self) -> str:
         return (f"<SpanRecord {self.category}:{self.name} "
@@ -94,7 +117,8 @@ class _Span:
     exit (e.g. to attach after-the-fact deltas) still lands in the export.
     """
 
-    __slots__ = ("_session", "name", "category", "args", "_start", "_depth")
+    __slots__ = ("_session", "name", "category", "args", "_start", "_depth",
+                 "_id", "_parent")
 
     def __init__(self, session: "TelemetrySession", name: str, category: str,
                  args: Dict[str, Any]):
@@ -104,6 +128,8 @@ class _Span:
         self.args = args
         self._start = 0.0
         self._depth = 0
+        self._id = 0
+        self._parent: Optional[int] = None
 
     def set(self, **kwargs: Any) -> "_Span":
         self.args.update(kwargs)
@@ -111,8 +137,12 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         session = self._session
-        self._depth = len(session._span_stack)
-        session._span_stack.append(self)
+        stack = session._span_stack
+        self._depth = len(stack)
+        self._parent = stack[-1]._id if stack else None
+        self._id = session._span_ids
+        session._span_ids += 1
+        stack.append(self)
         self._start = time.perf_counter()
         return self
 
@@ -125,7 +155,7 @@ class _Span:
             self.name, self.category,
             (self._start - session._epoch) * 1e6,
             (end - self._start) * 1e6,
-            self._depth, self.args))
+            self._depth, self.args, self._id, self._parent))
         return False
 
 
@@ -148,14 +178,24 @@ _NULL_SPAN = _NullSpan()
 
 
 class TelemetrySession:
-    """All telemetry collected between :func:`enable` and :func:`disable`."""
+    """Everything collected between :func:`enable` and :func:`disable`.
 
-    def __init__(self) -> None:
+    ``log`` is the durable half: with an :class:`~repro.obs.events.EventLog`
+    attached, :func:`emit` and :func:`snapshot` write to it; without one
+    (the default) they do nothing.
+    """
+
+    def __init__(self, log: Optional["EventLog"] = None) -> None:
         #: (component, name) -> monotonically increasing int.
         self.counters: Counter = Counter()
+        #: Spelled key (``name{label=value,...}``) -> latest value.
+        self.gauges: Dict[str, float] = {}
         self.spans: List[SpanRecord] = []
         self.remarks: List[Remark] = []
+        self.log = log
         self._span_stack: List[_Span] = []
+        self._span_ids = 0
+        self._tids = 1
         self._epoch = time.perf_counter()
 
     # -- direct (session-bound) API -----------------------------------------
@@ -168,16 +208,56 @@ class TelemetrySession:
     def counter(self, component: str, name: str) -> int:
         return self.counters.get((component, name), 0)
 
+    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
+        """Set gauge ``name{a=1,b=2}`` (labels sorted, no braces when
+        unlabelled); snapshots carry its latest value."""
+        if labels:
+            name += "{" + ",".join(f"{key}={labels[key]}"
+                                   for key in sorted(labels)) + "}"
+        self.gauges[name] = float(value)
+
+    def snapshot(self, label: str = "", drop_timings: bool = False) -> None:
+        """Write every counter (as ``component.name``) and gauge to the log
+        as one ``metrics_snapshot`` event.
+
+        ``drop_timings`` omits wall-clock duration counters (``*_ns``/
+        ``*_us``) — they vary run to run, and a deterministic producer (the
+        fleet simulation) needs its log byte-reproducible.
+        """
+        totals = {f"{component}.{name}": float(value)
+                  for (component, name), value in self.counters.items()}
+        totals.update(self.gauges)
+        if drop_timings:
+            totals = {name: value for name, value in totals.items()
+                      if not name.endswith(("_ns", "_us"))}
+        self.log.emit("metrics_snapshot", label=label, totals=totals)
+
     def merge(self, other: "TelemetrySession") -> None:
-        """Fold another session into this one: counters add, spans and
-        remarks append (how pool workers' telemetry rejoins the parent)."""
+        """Fold a finished session (a pool worker's) into this one.
+
+        Counters add; spans append on a trace thread of their own with
+        their ids re-based past this session's; remarks append; and the
+        other session's events are re-emitted into this log, re-stamped
+        with this log's sequence numbers and clock.
+        """
         self.counters.update(other.counters)
+        for record in other.spans:
+            record.id += self._span_ids
+            if record.parent is not None:
+                record.parent += self._span_ids
+            record.tid += self._tids
+        self._span_ids += other._span_ids
+        self._tids += other._tids
         self.spans.extend(other.spans)
         self.remarks.extend(other.remarks)
+        if self.log is not None and other.log is not None:
+            for event in other.log.events:
+                self.log.emit(event.type, **event.fields)
 
     def __repr__(self) -> str:
         return (f"<TelemetrySession counters={len(self.counters)} "
-                f"spans={len(self.spans)} remarks={len(self.remarks)}>")
+                f"spans={len(self.spans)} remarks={len(self.remarks)} "
+                f"log={self.log!r}>")
 
 
 #: The active session, or None (telemetry disabled — the default).
@@ -220,6 +300,21 @@ def count(component: str, name: str, n: int = 1) -> None:
     session = _session
     if session is not None:
         session.counters[(component, name)] += n
+
+
+def emit(etype: str, **fields: Any) -> None:
+    """Append one event to the active session's log; no-op without one."""
+    session = _session
+    if session is not None and session.log is not None:
+        session.log.emit(etype, **fields)
+
+
+def snapshot(label: str = "", drop_timings: bool = False) -> None:
+    """Write a ``metrics_snapshot`` of the active session to its log; no-op
+    without one (see :meth:`TelemetrySession.snapshot`)."""
+    session = _session
+    if session is not None and session.log is not None:
+        session.snapshot(label, drop_timings)
 
 
 def span(name: str, category: str = "", **args: Any):

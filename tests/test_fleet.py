@@ -1,4 +1,4 @@
-"""Fault-tolerant continuous-profiling fleet service (DESIGN.md sec. 15).
+"""Fault-tolerant continuous-profiling fleet service (DESIGN.md sec. 14).
 
 The fleet is a deterministic, tick-driven simulation doing *real*
 collection work (PMU runs, context profgen), so these tests can
@@ -32,11 +32,11 @@ def _run(ticks=120, *, seed=7, services=3, spec=None, **overrides):
 
 @pytest.fixture
 def obs_log(tmp_path):
-    """A file-backed obs session; yields the log path."""
+    """A session with a file-backed event log; yields the log path."""
     path = tmp_path / "events.jsonl"
-    obs.install(obs.Observability(log=EventLog(path=str(path))))
+    telemetry.enable(telemetry.TelemetrySession(log=EventLog(path=str(path))))
     yield path
-    obs.uninstall()
+    telemetry.disable()
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +76,13 @@ class TestFleetDeterminism:
         blobs = []
         for name in ("a.jsonl", "b.jsonl"):
             path = tmp_path / name
-            obs.install(obs.Observability(log=EventLog(path=str(path))))
+            telemetry.enable(telemetry.TelemetrySession(
+                log=EventLog(path=str(path))))
             try:
                 _run(100, spec=_spec(
                     "worker_crash:0.05,slow_collection:0.25@seed=9"))
             finally:
-                obs.uninstall()
+                telemetry.disable()
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
         assert blobs[0]  # and the log is not trivially empty
@@ -385,16 +386,14 @@ class TestMergeRejection:
         ours.binary_id = "a" * 16
         theirs = PerfData(59, 16, True)
         theirs.binary_id = "b" * 16
-        session = telemetry.enable()
-        parent_obs = obs.install(obs.Observability())
+        session = telemetry.enable(telemetry.TelemetrySession(log=EventLog()))
         try:
             with pytest.raises(BinaryMismatchError):
                 ours.extend(theirs, site="fleet.test_merge")
         finally:
             telemetry.disable()
-            obs.uninstall()
         assert session.counters[("pgo.merge", "rejected")] == 1
-        rejected = parent_obs.log.of_type("merge_rejected")
+        rejected = session.log.of_type("merge_rejected")
         assert len(rejected) == 1
         assert rejected[0].fields["site"] == "fleet.test_merge"
         assert rejected[0].fields["ours"] == "a" * 16

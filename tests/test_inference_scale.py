@@ -3,7 +3,7 @@ digests, the solver cache, and incremental re-solve.
 
 The sparse fast path (``inference.sparse``) is pinned against the dense
 formulation it replaced — the dense path stays in the tree purely as the
-differential oracle these tests run (DESIGN.md sec. 14).
+differential oracle these tests run (DESIGN.md sec. 13).
 """
 
 import random
@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs, telemetry
+from repro import telemetry
+from repro.obs import EventLog
 from repro.analysis import fill_static_counts
 from repro.inference import (InferenceSession, SolverCache,
                              infer_function_counts, infer_module_counts)
@@ -32,10 +33,9 @@ needs_scipy = pytest.mark.skipif(not HAVE_SCIPY,
 
 @pytest.fixture(autouse=True)
 def _no_leaked_sessions():
-    """Inference sessions and obs are process-global; never leak them."""
+    """Inference sessions are process-global; never leak them."""
     yield
     inference_session.uninstall()
-    obs.uninstall()
 
 
 def build_observed_workload(seed: int, jitter: float = 0.05):
@@ -262,8 +262,7 @@ class TestFallbackClassification:
     def test_rank_deficient_counted_and_bit_identical(self):
         module = build_diamond_module()
         module.function("main").block("entry").count = None
-        session = telemetry.enable()
-        obs_session = obs.install()
+        session = telemetry.enable(telemetry.TelemetrySession(log=EventLog()))
         try:
             # Head-only diamond: two branch flows, one constraint — the
             # normal equations cannot pick the oracle's min-norm answer.
@@ -271,8 +270,7 @@ class TestFallbackClassification:
             assert session.counter("inference", "solver_fallback") == 1
             assert session.counter(
                 "inference", "solver_fallback.rank_deficient") == 1
-            events = [e for e in obs_session.log.events
-                      if e.type == "solver_fallback"]
+            events = session.log.of_type("solver_fallback")
             assert [(e.fields["function"], e.fields["reason"])
                     for e in events] == [("main", "rank_deficient")]
         finally:

@@ -1,12 +1,13 @@
-"""Observability subsystem tests (DESIGN.md sec. 11).
+"""Tests of the observability session, event log and readers (DESIGN.md
+sec. 7).
 
 Covers the four layers and their contracts:
 
 * event log — schema validation at emit, JSONL round-trip, permissive vs
   strict reads;
-* metrics registry — the telemetry bridge re-enumerates counters on every
-  sync, so lazily-created counters can never be silently omitted from a
-  later export (the exporter-plumbing regression class);
+* metrics — every snapshot is read straight from the session's counters
+  and gauges, so lazily-created counters can never be silently omitted
+  from a later export (the exporter-plumbing regression class);
 * provenance manifests — write/read round-trip, drop-accounting
   consistency, and one manifest per profile generated by the driver;
 * health — SLO rule grammar, pass/warn/fail verdicts for budgets and
@@ -16,25 +17,24 @@ Covers the four layers and their contracts:
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro import (PGODriverConfig, PGOVariant, compare_variants, obs,
-                   run_pgo, telemetry)
+from repro import (PGODriverConfig, PGOVariant, compare_variants, run_pgo,
+                   telemetry)
 from repro.cli import main
-from repro.obs import (EVENT_TYPES, EventLog, MetricsRegistry, ProfileManifest,
-                       SLORule, build_report, evaluate_health,
-                       manifest_path_for, parse_rules, read_event_log,
-                       render_html, render_text)
+from repro.obs import (EVENT_TYPES, EventLog, ProfileManifest, SLORule,
+                       build_report, evaluate_health, manifest_path_for,
+                       parse_rules, read_event_log, render_html, render_text)
+from repro.telemetry import TelemetrySession, chrome_trace
 
 
 @pytest.fixture(autouse=True)
 def clean_global_state():
     telemetry.disable()
-    obs.uninstall()
     yield
     telemetry.disable()
-    obs.uninstall()
 
 
 @pytest.fixture(scope="module")
@@ -49,17 +49,36 @@ def _small_config(**kwargs):
 
 
 @pytest.fixture(scope="module")
+def parallel_and_serial(workload):
+    """The same two-variant compare with ``jobs=2`` and ``jobs=1``, each
+    under its own session with an in-memory event log and, like the CLI,
+    inside a top-level span."""
+    sessions = []
+    for jobs in (2, 1):
+        session = telemetry.enable(TelemetrySession(log=EventLog()))
+        try:
+            with telemetry.span("repro compare", "cli"):
+                results = compare_variants(
+                    workload, [40], [40],
+                    variants=[PGOVariant.AUTOFDO, PGOVariant.CSSPGO_FULL],
+                    config=_small_config(), jobs=jobs)
+        finally:
+            telemetry.disable()
+        assert len(results) == 2
+        sessions.append(session)
+    return tuple(sessions)
+
+
+@pytest.fixture(scope="module")
 def observed_run(workload):
-    """One CSSPGO cycle with telemetry + observability installed."""
-    session = telemetry.enable(telemetry.TelemetrySession())
-    obs_session = obs.install()
+    """One CSSPGO cycle with a session and an event log installed."""
+    session = telemetry.enable(TelemetrySession(log=EventLog()))
     try:
         result = run_pgo(workload, PGOVariant.CSSPGO_FULL, [40], [40],
                          _small_config())
     finally:
         telemetry.disable()
-        obs.uninstall()
-    return result, obs_session, session
+    return result, session
 
 
 # ---------------------------------------------------------------------------
@@ -128,114 +147,138 @@ class TestEventLog:
             read_event_log(str(path), strict=True)
 
     def test_module_level_emit_is_noop_when_uninstalled(self):
-        assert not obs.enabled()
-        obs.emit("run_started", variant="csspgo")  # must not raise
-        obs.snapshot("nowhere")
+        assert not telemetry.enabled()
+        telemetry.emit("run_started", variant="csspgo")  # must not raise
+        telemetry.snapshot("nowhere")
+        # A session without a log (a traced benchmark call) collects
+        # counters but writes no events.
+        session = telemetry.enable(TelemetrySession())
+        telemetry.emit("not_even_a_registered_type")
+        telemetry.snapshot("nowhere")
+        assert session.log is None
 
 
 # ---------------------------------------------------------------------------
-# metrics registry + telemetry bridge (satellite: exporter plumbing)
+# metrics: session snapshots (satellite: exporter plumbing)
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
-    def test_bridge_equals_session_counters_exactly(self):
-        session = telemetry.TelemetrySession()
+def _snapshots(session):
+    return [event.get("totals")
+            for event in session.log.of_type("metrics_snapshot")]
+
+
+class TestSessionMetrics:
+    """Snapshots are the metrics series: every counter and gauge of the
+    session, read at snapshot time."""
+
+    def test_snapshot_equals_session_counters_exactly(self):
+        session = TelemetrySession(log=EventLog())
         session.count("correlate", "samples_unwound", 100)
         session.count("correlate.drop", "unmapped_address", 3)
         session.count("pgo.fallback", "csspgo_to_autofdo")
-        registry = MetricsRegistry()
-        registry.sync_telemetry(session)
-        totals = registry.totals()
+        session.snapshot("final")
         expected = {f"{component}.{name}": float(value)
                     for (component, name), value in session.counters.items()}
-        assert {k: v for k, v in totals.items()
-                if not k.startswith("span.")} == expected
+        totals = _snapshots(session)[0]
+        assert totals == expected
+        assert all(type(value) is float for value in totals.values())
 
     def test_counters_created_after_first_export_are_not_omitted(self):
         """The exporter-plumbing regression: lazily-created counters (e.g.
         correlate.cache.* appearing mid-run) must show up in every later
         export, not be frozen out by the first one."""
-        session = telemetry.TelemetrySession()
-        session.count("correlate", "samples_used", 10)
-        registry = MetricsRegistry()
-        registry.sync_telemetry(session)
-        assert registry.totals()["correlate.samples_used"] == 10.0
+        session = telemetry.enable(TelemetrySession(log=EventLog()))
+        telemetry.count("correlate", "samples_used", 10)
+        telemetry.snapshot("first")
         # A brand-new counter family arrives after the first export.
-        session.count("correlate.cache", "stack_memo_hits", 7)
-        registry.sync_telemetry(session)
-        totals = registry.totals()
-        assert totals["correlate.cache.stack_memo_hits"] == 7.0
-        assert totals["correlate.samples_used"] == 10.0
-
-    def test_sync_is_idempotent_for_counters_and_spans(self):
-        session = telemetry.enable(telemetry.TelemetrySession())
-        session.count("a", "b", 5)
-        with session.span("collect", "stage"):
-            pass
-        telemetry.disable()
-        registry = MetricsRegistry()
-        registry.sync_telemetry(session)
-        registry.sync_telemetry(session)
-        assert registry.totals()["a.b"] == 5.0
-        histogram = registry.histogram("span.duration_us",
-                                       category="stage", name="collect")
-        assert histogram.count == 1  # not doubled by the second sync
+        telemetry.count("correlate.cache", "stack_memo_hits", 7)
+        telemetry.snapshot("second")
+        first, second = _snapshots(session)
+        assert first == {"correlate.samples_used": 10.0}
+        assert second == {"correlate.samples_used": 10.0,
+                          "correlate.cache.stack_memo_hits": 7.0}
 
     def test_snapshot_series_sees_late_metrics(self):
-        registry = MetricsRegistry()
-        registry.inc("x", 1.0)
-        first = registry.snapshot(1.0, "first")
-        registry.inc("late.metric", 2.0)
-        second = registry.snapshot(2.0, "second")
-        assert "late.metric" not in first.values
-        assert second.values["late.metric"] == 2.0
-        assert [p.label for p in registry.series] == ["first", "second"]
+        session = TelemetrySession(log=EventLog())
+        session.set_gauge("x", 1)
+        session.snapshot("first")
+        session.set_gauge("late.metric", 2)
+        session.count("late", "counter_ns", 5)
+        session.snapshot("second")
+        session.snapshot("third", drop_timings=True)
+        first, second, third = _snapshots(session)
+        assert first == {"x": 1.0}
+        assert second == {"x": 1.0, "late.metric": 2.0,
+                          "late.counter_ns": 5.0}
+        assert third == {"x": 1.0, "late.metric": 2.0}
+        assert [event.get("label") for event in session.log.events] == \
+            ["first", "second", "third"]
 
     def test_labels_spell_stably(self):
-        registry = MetricsRegistry()
-        registry.inc("hits", 1.0, b="2", a="1")
-        registry.inc("hits", 1.0, a="1", b="2")
-        assert registry.totals() == {"hits{a=1,b=2}": 2.0}
-
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        for value in (1.0, 3.0, 8.0):
-            registry.observe("latency", value)
-        histogram = registry.histogram("latency")
-        assert histogram.count == 3
-        assert histogram.min == 1.0 and histogram.max == 8.0
-        assert histogram.mean == pytest.approx(4.0)
+        session = TelemetrySession()
+        session.set_gauge("hits", 1, b="2", a="1")
+        session.set_gauge("hits", 2, a="1", b="2")
+        session.set_gauge("misses", 3)
+        assert session.gauges == {"hits{a=1,b=2}": 2.0, "misses": 3.0}
 
 
 class TestTelemetryEnable:
     def test_enable_keeps_active_session(self):
         """Satellite regression: a library calling enable() under an already
-        collecting CLI must not clobber counters registered so far."""
-        first = telemetry.enable()
+        collecting CLI must not clobber counters registered so far (or the
+        event log attached to the session)."""
+        first = telemetry.enable(TelemetrySession(log=EventLog()))
         first.count("early", "counter", 3)
         second = telemetry.enable()
         assert second is first
         assert telemetry.current().counter("early", "counter") == 3
+        telemetry.emit("run_started", variant="csspgo")
+        assert len(first.log) == 1
 
     def test_enable_with_explicit_session_replaces(self):
         telemetry.enable()
-        mine = telemetry.TelemetrySession()
+        mine = TelemetrySession()
         assert telemetry.enable(mine) is mine
         assert telemetry.current() is mine
 
     def test_session_merge(self):
-        parent = telemetry.TelemetrySession()
+        parent = TelemetrySession(log=EventLog())
         parent.count("a", "b", 1)
-        child = telemetry.TelemetrySession()
+        with parent.span("outer", "stage"):
+            pass
+        parent.log.emit("run_started", variant="parent")
+        child = TelemetrySession(log=EventLog())
         child.count("a", "b", 2)
         child.count("c", "d", 5)
-        with child.span("collect", "stage"):
-            pass
+        with child.span("variant:x", "pgo"):
+            with child.span("collect", "stage"):
+                pass
+        child.remarks.append(telemetry.Remark("p", "N", "f", "m"))
+        child.log.emit("run_started", variant="child")
+        child.log.emit("run_finished", variant="child")
         parent.merge(child)
         assert parent.counter("a", "b") == 3
         assert parent.counter("c", "d") == 5
-        assert len(parent.spans) == 1
+        assert len(parent.remarks) == 1
+        # Ids are re-based past the parent's and the tree survives; the
+        # child's spans get a trace thread of their own.
+        spans = {record.name: record for record in parent.spans}
+        assert [record.id for record in parent.spans] == [0, 2, 1]
+        assert spans["collect"].parent == spans["variant:x"].id
+        assert spans["variant:x"].parent is None
+        assert {spans["collect"].tid, spans["variant:x"].tid} == {2}
+        assert spans["outer"].tid == 1
+        # Child events are re-emitted into the parent log, re-stamped.
+        assert [(event.seq, event.get("variant"))
+                for event in parent.log.events] == \
+            [(0, "parent"), (1, "child"), (2, "child")]
+        # A second merged session gets the next thread and ids.
+        other = TelemetrySession()
+        with other.span("variant:y", "pgo"):
+            pass
+        parent.merge(other)
+        assert (parent.spans[-1].id, parent.spans[-1].tid) == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +452,9 @@ class TestDashboard:
 
 class TestDriverIntegration:
     def test_one_manifest_per_generated_profile(self, observed_run):
-        result, obs_session, _session = observed_run
+        result, session = observed_run
         manifests = result.extras["manifests"]
-        generated = obs_session.log.of_type("profile_generated")
+        generated = session.log.of_type("profile_generated")
         assert len(manifests) == len(generated) == 1
         manifest = ProfileManifest.from_dict(manifests[0])
         assert manifest.variant == "csspgo" and manifest.kind == "context"
@@ -420,43 +463,69 @@ class TestDriverIntegration:
         assert 0.0 < manifest.quality["trim_overlap"] <= 1.0
 
     def test_manifest_drop_accounting_is_exact(self, observed_run):
-        result, _obs_session, _session = observed_run
+        result, _session = observed_run
         manifest = ProfileManifest.from_dict(result.extras["manifests"][0])
         assert manifest.drop_accounting_consistent()
 
     def test_run_lifecycle_events(self, observed_run):
-        _result, obs_session, _session = observed_run
-        started = obs_session.log.of_type("run_started")
-        finished = obs_session.log.of_type("run_finished")
+        _result, session = observed_run
+        started = session.log.of_type("run_started")
+        finished = session.log.of_type("run_finished")
         assert [e.get("variant") for e in started] == ["csspgo"]
         assert finished[0].get("cycles") > 0
-        assert obs_session.log.of_type("metrics_snapshot")
+        assert session.log.of_type("metrics_snapshot")
 
     def test_registry_matches_session_after_snapshot(self, observed_run):
-        _result, obs_session, session = observed_run
-        totals = obs_session.metrics.totals()
-        for (component, name), value in session.counters.items():
-            assert totals[f"{component}.{name}"] == float(value)
+        _result, session = observed_run
+        totals = session.log.of_type("metrics_snapshot")[-1].get("totals")
+        assert totals == {f"{component}.{name}": float(value)
+                          for (component, name), value
+                          in session.counters.items()}
 
-    def test_parallel_compare_merges_worker_observability(self, workload):
-        session = telemetry.enable(telemetry.TelemetrySession())
-        obs_session = obs.install()
-        try:
-            results = compare_variants(
-                workload, [40], [40],
-                variants=[PGOVariant.AUTOFDO, PGOVariant.CSSPGO_FULL],
-                config=_small_config(), jobs=2)
-        finally:
-            telemetry.disable()
-            obs.uninstall()
-        assert len(results) == 2
-        # Worker telemetry merged: correlation counters visible in parent.
-        assert session.counter("correlate", "samples_unwound") > 0
-        assert any(s.name.startswith("variant:") for s in session.spans)
-        # Worker events re-emitted into the parent log.
-        started = obs_session.log.of_type("run_started")
-        assert {e.get("variant") for e in started} == {"autofdo", "csspgo"}
-        assert obs_session.log.of_type("profile_generated")
+    def test_parallel_compare_merges_worker_observability(
+            self, parallel_and_serial):
+        """Worker sessions merged back in ``variants`` order observe the
+        same run a serial compare does."""
+        parallel, serial = parallel_and_serial
+
+        def counters(session):
+            # Forked workers inherit the parent's warm solver cache, and
+            # wall-clock counters vary run to run.
+            return {key: value for key, value in session.counters.items()
+                    if key != ("pgo", "parallel_compare_jobs")
+                    and not key[1].startswith("solver_cache")
+                    and not key[1].endswith(("_ns", "_us"))}
+
+        def events(session):
+            return [event.type for event in session.log.events
+                    if event.type != "metrics_snapshot"]
+
+        assert parallel.counter("pgo", "parallel_compare_jobs") == 2
+        assert parallel.counter("correlate", "samples_unwound") > 0
+        assert counters(parallel) == counters(serial)
+        assert (Counter((s.name, s.category) for s in parallel.spans)
+                == Counter((s.name, s.category) for s in serial.spans))
+        assert ([r.to_dict() for r in parallel.remarks]
+                == [r.to_dict() for r in serial.remarks])
+        assert events(parallel) == events(serial)
+        started = parallel.log.of_type("run_started")
+        assert [e.get("variant") for e in started] == ["autofdo", "csspgo"]
+
+    def test_parallel_trace_tracks_nest(self, parallel_and_serial):
+        """Each merged worker session's spans get their own trace thread,
+        so no span partly overlaps another on the same (pid, tid) track."""
+        parallel, _serial = parallel_and_serial
+        tracks = {}
+        for event in chrome_trace(parallel)["traceEvents"]:
+            if event["ph"] == "X":
+                tracks.setdefault((event["pid"], event["tid"]), []).append(
+                    (event["ts"], event["ts"] + event["dur"]))
+        assert len(tracks) == 3  # the parent plus one per worker
+        for intervals in tracks.values():
+            for start, end in intervals:
+                for other_start, other_end in intervals:
+                    partial = (start < other_start < end < other_end)
+                    assert not partial, (start, end, other_start, other_end)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +533,7 @@ class TestDriverIntegration:
 # ---------------------------------------------------------------------------
 
 
-class TestCliObservability:
+class TestCliEventLog:
     def test_events_out_report_html_check(self, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
         html_path = tmp_path / "dash.html"
@@ -476,6 +545,17 @@ class TestCliObservability:
         types = {event.type for event in events}
         assert {"run_started", "run_finished", "profile_generated",
                 "metrics_snapshot", "span"} <= types
+        # Span events carry id/parent: the log alone rebuilds the tree.
+        spans = {event.get("id"): event for event in events
+                 if event.type == "span"}
+        assert len(spans) == sum(event.type == "span" for event in events)
+        roots = [event.get("name") for event in spans.values()
+                 if event.get("parent") is None]
+        assert roots == ["repro compare"]
+        for event in spans.values():
+            if event.get("parent") is not None:
+                parent = spans[event.get("parent")]
+                assert parent.get("depth") == event.get("depth") - 1
         capsys.readouterr()
 
         assert main(["report", str(events_path),
@@ -492,8 +572,7 @@ class TestCliObservability:
         main(["--iterations", "1", "--period", "31", "--seed", "4",
               "--events-out", str(tmp_path / "e.jsonl"),
               "compare", "demo", "--variants", "none"])
-        assert not obs.enabled()
-        assert not telemetry.enabled()
+        assert telemetry.current() is None
 
     def test_report_check_fails_on_slo_breach(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"

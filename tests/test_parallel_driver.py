@@ -135,14 +135,14 @@ class TestFallbackChainUnderConcurrency:
     extras, manifests, and the parent-merged fallback_taken events."""
 
     def test_stale_profile_degrades_in_worker_and_merges_back(self):
-        from repro import obs, telemetry
+        from repro import telemetry
         from repro.faults import FaultSpec
+        from repro.obs import EventLog
 
         module = _module()
         config = _config(
             fault_spec=FaultSpec.parse("stale_checksum:1@seed=5"))
-        session = telemetry.enable()
-        parent_obs = obs.install(obs.Observability())
+        session = telemetry.enable(telemetry.TelemetrySession(log=EventLog()))
         try:
             results = compare_variants(
                 module, [40], [40],
@@ -150,7 +150,6 @@ class TestFallbackChainUnderConcurrency:
                 config=config, jobs=2)
         finally:
             telemetry.disable()
-            obs.uninstall()
         csspgo = results[PGOVariant.CSSPGO_FULL]
         # Every checksum staled: the context profile annotates nothing and
         # the chain must have taken at least the csspgo->autofdo hop.
@@ -166,7 +165,7 @@ class TestFallbackChainUnderConcurrency:
         hops = manifests[-1]["fallbacks"]
         assert [f"{h['from']}->{h['to']}" for h in hops] == chain
         # Worker events were re-emitted into the parent session.
-        fallback_events = parent_obs.log.of_type("fallback_taken")
+        fallback_events = session.log.of_type("fallback_taken")
         assert any(e.fields["from_variant"] == "csspgo"
                    for e in fallback_events)
         # The run still produced a working binary (degraded, not broken).

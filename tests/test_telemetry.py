@@ -10,6 +10,7 @@ from repro.telemetry import (Remark, TelemetrySession, chrome_trace,
                              remarks_to_json, render_stats_report,
                              write_chrome_trace, write_remarks)
 from repro.telemetry.core import _NULL_SPAN, SpanRecord
+from repro.telemetry.report import _self_times
 from tests.conftest import build_call_module
 
 
@@ -161,6 +162,26 @@ class TestExporters:
                         "evaluate": (50, 33.3, 1),
                         "profiling-build": (30, 20.0, 1)}
         assert sum(row[1] for row in rows.values()) == 100.0
+
+    def test_self_time_follows_parent_links_across_merge(self):
+        """Recorded spans nest by parent id, so a merged worker's stages
+        (timestamps from another epoch) are charged to their own tree."""
+        parent = telemetry.enable()
+        with telemetry.span("evaluate", "stage"):
+            pass
+        worker = TelemetrySession()
+        with worker.span("iteration:0", "stage"):
+            with worker.span("inline", "pass"):
+                with worker.span("collect", "stage"):
+                    pass
+        parent.merge(worker)
+        spans = {record.name: record for record in parent.spans}
+        own = {record.name: us for record, us in _self_times(parent.spans,
+                                                             "stage")}
+        assert own["evaluate"] == spans["evaluate"].duration_us
+        assert own["collect"] == spans["collect"].duration_us
+        assert own["iteration:0"] == (spans["iteration:0"].duration_us
+                                      - spans["collect"].duration_us)
 
     def test_remark_repr_and_session_repr(self):
         remark = Remark("p", "N", "f", "m")
