@@ -4,8 +4,9 @@ The status collector reports the fleet into the observability session
 (DESIGN.md sec. 7): every ``status_every`` ticks it emits one
 ``fleet_status`` event — the scheduler/worker/generation totals plus the
 fraction of services currently on a fresh context profile — sets
-per-service gauges on the session, and writes a ``metrics_snapshot``.  ``repro report`` turns those rollups into the
-``profile-freshness`` / ``task-retry-rate`` / ``orphan-loss`` SLO verdicts
+per-service gauges on the session, and writes a ``metrics_snapshot``.
+``repro report`` turns those rollups into the ``profile-freshness`` /
+``task-retry-rate`` / ``orphan-loss`` SLO verdicts
 (:mod:`repro.obs.health`).
 """
 

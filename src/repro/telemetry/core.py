@@ -85,7 +85,7 @@ class SpanRecord:
     and ``parent`` is the id of the span it was opened in (``None`` at the
     top level), so the tree survives export.  ``tid`` is the trace thread:
     1 for spans recorded in this process, a fresh one per merged session,
-    whose timestamps count from its own epoch.
+    whose spans may overlap this process's in time.
     """
 
     __slots__ = ("name", "category", "start_us", "duration_us", "depth",
@@ -235,16 +235,25 @@ class TelemetrySession:
     def merge(self, other: "TelemetrySession") -> None:
         """Fold a finished session (a pool worker's) into this one.
 
-        Counters add; spans append on a trace thread of their own with
-        their ids re-based past this session's; remarks append; and the
-        other session's events are re-emitted into this log, re-stamped
-        with this log's sequence numbers and clock.
+        Counters add; spans append on a trace thread of their own, with
+        their ids re-based past this session's, their start times moved to
+        this session's epoch, and their roots hung under this session's
+        innermost open span (the tree a serial run records); remarks
+        append; and the other session's events are re-emitted into this
+        log, re-stamped with this log's sequence numbers and clock.
         """
         self.counters.update(other.counters)
+        stack = self._span_stack
+        root_parent = stack[-1]._id if stack else None
+        shift_us = (other._epoch - self._epoch) * 1e6
         for record in other.spans:
-            record.id += self._span_ids
-            if record.parent is not None:
+            if record.parent is None:
+                record.parent = root_parent
+            else:
                 record.parent += self._span_ids
+            record.id += self._span_ids
+            record.depth += len(stack)
+            record.start_us += shift_us
             record.tid += self._tids
         self._span_ids += other._span_ids
         self._tids += other._tids

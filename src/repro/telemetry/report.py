@@ -22,47 +22,29 @@ from typing import Any, Dict, List, Tuple
 from .core import SpanRecord, TelemetrySession
 
 
-def _parents(spans: List[SpanRecord]) -> Dict[int, SpanRecord]:
-    """``id(span) -> the span it was opened in``, for every nested span.
-
-    Recorded spans name their parent by id.  Records built without ids
-    (by hand) nest by close order and depth: a span's children are the
-    deeper spans closed right before it.
-    """
-    by_id = {record.id: record for record in spans if record.id is not None}
-    parents: Dict[int, SpanRecord] = {}
-    unclaimed: List[SpanRecord] = []
-    for record in spans:
-        if record.id is None:
-            while unclaimed and unclaimed[-1].depth > record.depth:
-                parents[id(unclaimed.pop())] = record
-            unclaimed.append(record)
-        elif record.parent is not None:
-            parents[id(record)] = by_id[record.parent]
-    return parents
-
-
 def _self_times(spans: List[SpanRecord], category: str
                 ) -> List[Tuple[SpanRecord, float]]:
     """``(span, self µs)`` for every span of ``category``: its duration minus
-    that of each ``category`` span whose nearest ``category`` ancestor it
-    is (theirs are already net of their own).  Nesting comes from parent
-    links, not ``start_us``: a merged worker session's timestamps count
-    from its own epoch.
+    the ``category`` spans nested in it (the nearest ones; theirs are
+    already net of their own).
+
+    Spans are recorded as they close, so a span's descendants are the run of
+    deeper spans listed right before it (a merged worker session's spans
+    are appended whole, its roots one level below the span open at merge).
     """
-    parents = _parents(spans)
-    self_us = {id(record): record.duration_us for record in spans
-               if record.category == category}
+    out: List[Tuple[SpanRecord, float]] = []
+    #: (depth, µs of ``category`` spans inside it) awaiting an enclosing span.
+    pending: List[Tuple[int, float]] = []
     for record in spans:
-        if record.category != category:
-            continue
-        ancestor = parents.get(id(record))
-        while ancestor is not None and ancestor.category != category:
-            ancestor = parents.get(id(ancestor))
-        if ancestor is not None:
-            self_us[id(ancestor)] -= record.duration_us
-    return [(record, self_us[id(record)]) for record in spans
-            if record.category == category]
+        nested = 0.0
+        while pending and pending[-1][0] > record.depth:
+            nested += pending.pop()[1]
+        if record.category == category:
+            out.append((record, record.duration_us - nested))
+            pending.append((record.depth, record.duration_us))
+        elif nested:
+            pending.append((record.depth, nested))
+    return out
 
 
 def _aggregate_spans(session: TelemetrySession, category: str

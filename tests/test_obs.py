@@ -500,11 +500,17 @@ class TestDriverIntegration:
             return [event.type for event in session.log.events
                     if event.type != "metrics_snapshot"]
 
+        def tree(session):
+            names = {s.id: s.name for s in session.spans}
+            return Counter((s.name, names.get(s.parent), s.depth)
+                           for s in session.spans)
+
         assert parallel.counter("pgo", "parallel_compare_jobs") == 2
         assert parallel.counter("correlate", "samples_unwound") > 0
         assert counters(parallel) == counters(serial)
         assert (Counter((s.name, s.category) for s in parallel.spans)
                 == Counter((s.name, s.category) for s in serial.spans))
+        assert tree(parallel) == tree(serial)
         assert ([r.to_dict() for r in parallel.remarks]
                 == [r.to_dict() for r in serial.remarks])
         assert events(parallel) == events(serial)

@@ -163,9 +163,9 @@ class TestExporters:
                         "profiling-build": (30, 20.0, 1)}
         assert sum(row[1] for row in rows.values()) == 100.0
 
-    def test_self_time_follows_parent_links_across_merge(self):
-        """Recorded spans nest by parent id, so a merged worker's stages
-        (timestamps from another epoch) are charged to their own tree."""
+    def test_self_time_across_merge(self):
+        """A merged worker's stages are charged to their own tree, not to a
+        span of the merging session that closed before the merge."""
         parent = telemetry.enable()
         with telemetry.span("evaluate", "stage"):
             pass
