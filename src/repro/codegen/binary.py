@@ -66,10 +66,11 @@ class Binary:
         self.entry_function = "main"
         self.text_size = 0
         self.guid_to_name: Dict[int, str] = {}
-        #: Pre-decoded executor programs, keyed by observer variant (see
-        #: :mod:`repro.hw.decoded`).  Holding the cache here means repeated
-        #: runs of the same artifact — continuous-profiling iterations,
-        #: evaluation runs, benchmark sweeps — skip decoding entirely.
+        #: Decoded executor programs, keyed by observer variant (see
+        #: :mod:`repro.hw.decoded`).  Blocks compile on first entry, so
+        #: holding the cache here means repeated runs of the same artifact
+        #: — continuous-profiling iterations, evaluation runs, benchmark
+        #: sweeps — skip decoding and reuse every block already compiled.
         self._decoded_cache: Dict[object, object] = {}
         #: Decode-cache effectiveness counters (mirrored into telemetry).
         self.decode_stats: Dict[str, int] = {"decodes": 0, "cache_hits": 0}

@@ -3,12 +3,13 @@
 The legacy :class:`~repro.hw.executor.MachineExecutor` re-dispatches on the
 ``kind`` string and re-checks register-vs-immediate operand types for every
 retired instruction.  This module instead runs a one-time *decode* pass over
-``Binary.instrs`` that partitions the program into basic blocks and compiles
-each block into one specialized Python function (a single ``compile``/``exec``
-per binary and observer variant):
+``Binary.instrs`` that partitions the program into basic blocks, and compiles
+each block into one specialized Python function the first time execution
+enters it (one ``compile``/``exec`` per executed block and observer variant;
+blocks that never run are never compiled):
 
-* operand register-vs-immediate resolution happens at decode time — operands
-  are emitted as dict subscripts or integer literals;
+* operand register-vs-immediate resolution happens at compile time —
+  operands are emitted as dict subscripts or integer literals;
 * branch/call/return targets are pre-resolved to instruction *indices*
   (no address->index dict lookups in the hot loop) and block functions return
   the index of the next block's leader;
@@ -27,11 +28,19 @@ per binary and observer variant):
     in exact legacy per-instruction order (float addition order is
     preserved), with line changes resolved statically inside a block.
 
+Decode itself only finds the block bounds and fills each leader's slot of
+the dispatch table with a stub.  On first entry the stub compiles its block
+(through :func:`decode_program`, so the compile is accounted as decode
+time), replaces itself in the table and runs the block; from then on the
+dispatch loop calls the compiled block directly.  A service's code is mostly
+cold, so most blocks of a binary stay stubs for its whole life.
+
 Decoded programs are cached on the :class:`~repro.codegen.binary.Binary`
 (keyed by observer variant), so repeated runs of the same artifact —
 continuous-profiling iterations, evaluation runs, benchmark sweeps — skip
-decoding entirely.  The cache is dropped on pickling (code objects and
-closures don't serialize) and rebuilt on first use in the receiving process.
+decoding and reuse every block already compiled.  The cache is dropped on
+pickling (code objects and closures don't serialize) and rebuilt, again
+lazily, on first use in the receiving process.
 
 Skid stacks are lazy here: the executor maintains the return-address chain as
 an immutable cons list, the PMU's ``lagged_capture`` hook is an O(1) pair
@@ -50,6 +59,7 @@ identical cost-model cycles).
 from __future__ import annotations
 
 import time
+import weakref
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -88,22 +98,26 @@ class _State:
 
 
 class DecodedProgram:
-    """One observer-specialized compilation of a binary."""
+    """One observer-specialized decode of a binary.
+
+    ``ops[L]`` is the block function of the block at leader ``L`` once that
+    block has run, and a compiling stub before.  ``decode_ns`` covers the
+    decode pass and every block compiled so far.
+    """
 
     __slots__ = ("ops", "entry_idx", "key", "decode_ns", "n_instrs",
-                 "n_blocks", "source")
+                 "n_blocks", "blocks_compiled", "_ctx", "__weakref__")
 
-    def __init__(self, ops: List[Optional[Callable]], entry_idx: int,
-                 key: Tuple[Optional[str], bool], decode_ns: int,
-                 n_blocks: int, source: str):
-        self.ops = ops
+    def __init__(self, ctx: "_Ctx", n_blocks: int, entry_idx: int,
+                 key: Tuple[Optional[str], bool]):
+        self.ops: List[Optional[Callable]] = [None] * ctx.n
         self.entry_idx = entry_idx
         self.key = key
-        self.decode_ns = decode_ns
-        self.n_instrs = len(ops)
+        self.decode_ns = 0
+        self.n_instrs = ctx.n
         self.n_blocks = n_blocks
-        #: Generated source, kept for debugging and the differential tests.
-        self.source = source
+        self.blocks_compiled = 0
+        self._ctx = ctx
 
 
 def _materialize_lagged(token) -> List[int]:
@@ -301,10 +315,12 @@ def _locals_literal(callee) -> str:
 
 
 class _Ctx:
-    """Decode-time context shared by the block emitters."""
+    """Decode context shared by the block emitters, kept on the program for
+    the blocks still to compile; ``consts`` holds the globals of the block
+    being compiled."""
 
     __slots__ = ("binary", "instrs", "n", "addr_index", "symbols",
-                 "P", "SKID", "C", "blocks", "consts")
+                 "P", "SKID", "C", "blocks", "consts", "filename")
 
 
 #: Instruction pool each generated function may spend on inlining successor
@@ -541,18 +557,33 @@ def _gen_ctrl(ctx: _Ctx, ins, e: int, prev_line: Optional[int],
 # Decode pass
 # ---------------------------------------------------------------------------
 
-def decode_program(binary: Binary, pmu_mode: Optional[str],
-                   use_cost: bool) -> DecodedProgram:
-    """Compile ``binary`` into an observer-specialized block-function table.
+def decode_program(binary: Binary, pmu_mode: Optional[str], use_cost: bool,
+                   *, into: Optional[DecodedProgram] = None,
+                   leader: int = 0):
+    """Decode ``binary`` into an observer-specialized block-function table.
 
     ``pmu_mode`` is ``None`` (no PMU), ``"pebs"`` or ``"skid"``; ``use_cost``
-    selects the cost-model variant.  Called through the binary's decode cache
-    by :func:`run_decoded` — call directly only in tests/benchmarks.
+    selects the cost-model variant.  Returns a :class:`DecodedProgram` whose
+    blocks are stubs that compile on first entry.  Called through the
+    binary's decode cache by :func:`run_decoded` — call directly only in
+    tests/benchmarks.
+
+    A stub's first entry calls back here with ``into`` (the stub's program)
+    and ``leader``: that one block is compiled, installed in ``into.ops``
+    and returned.  Routing the per-block compile through this function keeps
+    it accounted as decode time wherever decode is measured.
     """
     t0 = time.perf_counter_ns()
-    P = pmu_mode is not None
-    SKID = pmu_mode == "skid"
-    C = use_cost
+    if into is not None:
+        fn = _compile_block(into._ctx, leader)
+        into.ops[leader] = fn
+        into.blocks_compiled += 1
+        elapsed = time.perf_counter_ns() - t0
+        into.decode_ns += elapsed
+        if telemetry.enabled():
+            telemetry.count("hw.decode", "decode_ns", elapsed)
+        return fn
+
     instrs = binary.instrs
     n = len(instrs)
     addr_index = binary._addr_to_index
@@ -590,37 +621,55 @@ def decode_program(binary: Binary, pmu_mode: Optional[str],
         blocks[L] = (e, ctrl, stop)
 
     ctx = _Ctx()
-    ctx.binary = binary
+    ctx.binary = weakref.proxy(binary)
     ctx.instrs = instrs
     ctx.n = n
     ctx.addr_index = addr_index
     ctx.symbols = symbols
-    ctx.P = P
-    ctx.SKID = SKID
-    ctx.C = C
+    ctx.P = pmu_mode is not None
+    ctx.SKID = pmu_mode == "skid"
+    ctx.C = use_cost
     ctx.blocks = blocks
+    ctx.filename = f"<decoded:{binary.name}:{pmu_mode}:{use_cost}>"
+
+    entry_idx = addr_index[symbols[binary.entry_function].entry_addr]
+    program = DecodedProgram(ctx, len(order), entry_idx, (pmu_mode, use_cost))
+    stub_args = (weakref.ref(program), ctx.binary, pmu_mode, use_cost)
+    ops = program.ops
+    for L in order:
+        ops[L] = _stub(*stub_args, L)
+    program.decode_ns = time.perf_counter_ns() - t0
+    return program
+
+
+def _stub(program_ref, binary, pmu_mode: Optional[str], use_cost: bool,
+          L: int) -> Callable:
+    """The dispatch-table entry of block ``L`` before its first entry.
+
+    Looks ``decode_program`` up at call time, so a wrapper installed on the
+    module attribute sees every block compile.  Program and binary are
+    held weakly: the binary's decode cache holds the program, whose table
+    holds the stub.
+    """
+    def first_entry(st):
+        return decode_program(binary, pmu_mode, use_cost,
+                              into=program_ref(), leader=L)(st)
+    return first_entry
+
+
+def _compile_block(ctx: _Ctx, L: int) -> Callable:
+    """Compile the block at leader ``L`` into ``def _b<L>(st)``.
+
+    Each block gets globals of its own: adding a name to globals that
+    running blocks read would invalidate their specialized global loads.
+    """
     ctx.consts = {"_DFrame": DFrame, "_Halt": _Halt,
                   "_eval_binop": eval_binop}
-    consts = ctx.consts
-
-    src: List[str] = []
-    for L in order:
-        body = _emit_segment(ctx, L, [_INLINE_POOL])
-        src.append(f"def _b{L}(st):")
-        src.extend(_indent(body))
-        src.append("")
-
-    source = "\n".join(src)
-    code = compile(source, f"<decoded:{binary.name}:{pmu_mode}:{use_cost}>",
-                   "exec")
-    exec(code, consts)
-
-    ops: List[Optional[Callable]] = [None] * n
-    for L in order:
-        ops[L] = consts[f"_b{L}"]
-    entry_idx = addr_index[symbols[binary.entry_function].entry_addr]
-    return DecodedProgram(ops, entry_idx, (pmu_mode, use_cost),
-                          time.perf_counter_ns() - t0, len(order), source)
+    src = "\n".join([f"def _b{L}(st):"]
+                    + _indent(_emit_segment(ctx, L, [_INLINE_POOL])))
+    namespace: Dict[str, Callable] = {}
+    exec(compile(src, ctx.filename, "exec"), ctx.consts, namespace)
+    return namespace[f"_b{L}"]
 
 
 # ---------------------------------------------------------------------------

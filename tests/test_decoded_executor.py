@@ -13,7 +13,9 @@ import pickle
 
 import pytest
 
+from repro import telemetry
 from repro.codegen import link
+from repro.hw import decoded
 from repro.hw import (MachineExecutionLimit, MachineExecutor, PMU, PMUConfig,
                       execute, make_pmu, run_decoded)
 from repro.ir import ModuleBuilder, verify_module
@@ -68,6 +70,136 @@ class TestPureDifferential:
         assert via_decoded.return_value == via_legacy.return_value
         with pytest.raises(ValueError):
             execute(binary, ARGS, engine="interpreted")
+
+
+def _dead_code_module():
+    """main(n): loops n times in ``hot``, then calls ``tail`` once (one
+    straight-line block too long to inline); ``dead`` is never called."""
+    mb = ModuleBuilder("lazy")
+    main = mb.function("main", ["%n"])
+    (main.block("entry").call("%s", "hot", ["%n"])
+     .call("%t", "tail", ["%s"]).ret("%t"))
+    hot = mb.function("hot", ["%n"])
+    hot.block("entry").mov("%i", 0).mov("%s", 0).br("loop")
+    hot.block("loop").cmp("slt", "%c", "%i", "%n").condbr("%c", "body", "exit")
+    hot.block("body").add("%s", "%s", "%i").add("%i", "%i", 1).br("loop")
+    hot.block("exit").ret("%s")
+    tail = mb.function("tail", ["%x"])
+    block = tail.block("entry")
+    for _ in range(16):
+        block = block.add("%x", "%x", 1)
+    block.ret("%x")
+    dead = mb.function("dead", ["%x"])
+    dead.block("entry").cmp("slt", "%c", "%x", 0).condbr("%c", "neg", "pos")
+    dead.block("neg").sub("%x", 0, "%x").ret("%x")
+    dead.block("pos").ret("%x")
+    module = mb.build()
+    verify_module(module)
+    return module
+
+
+def _leaders(binary, function: str):
+    """Block leaders (instruction indices) inside ``function``'s range."""
+    program = binary._decoded_cache[(None, False)]
+    return [i for i, op in enumerate(program.ops)
+            if op is not None
+            and binary.function_at(binary.instrs[i].addr) == function]
+
+
+def _compiled(program, leader: int) -> bool:
+    return program.ops[leader].__name__ == f"_b{leader}"
+
+
+class TestLazyDecode:
+    """Blocks compile on first entry; the tables stay consistent."""
+
+    def test_never_run_function_stays_uncompiled(self):
+        binary = link(_dead_code_module())
+        assert run_decoded(binary, [10]).return_value == 45 + 16
+        program = binary._decoded_cache[(None, False)]
+        dead = _leaders(binary, "dead")
+        assert len(dead) == 3
+        assert not any(_compiled(program, L) for L in dead)
+        assert _compiled(program, program.entry_idx)
+        assert 0 < program.blocks_compiled <= program.n_blocks - len(dead)
+
+    @pytest.mark.parametrize("pebs", [None, True, False])
+    def test_second_run_compiles_nothing(self, pebs):
+        binary = _pipeline_binary(0)
+
+        def run():
+            pmu = None if pebs is None else make_pmu(PMUConfig(pebs=pebs))
+            return run_decoded(binary, ARGS, pmu=pmu, cost_model=CostModel())
+
+        first = run()
+        (program,) = binary._decoded_cache.values()
+        compiled, decode_ns = program.blocks_compiled, program.decode_ns
+        assert 0 < compiled < program.n_blocks
+        second = run()
+        assert second.return_value == first.return_value
+        assert program.blocks_compiled == compiled
+        assert program.decode_ns == decode_ns
+
+    def test_limit_fires_on_first_entry_past_budget(self):
+        full = execute(link(_dead_code_module()), [10])
+        binary = link(_dead_code_module())
+        # ``tail``'s 17-instruction block retires past the budget on its
+        # first entry; main's final ret alone would not trip it.
+        with pytest.raises(MachineExecutionLimit):
+            execute(binary, [10], max_instructions=full.instructions_retired - 3)
+        program = binary._decoded_cache[(None, False)]
+        (tail,) = _leaders(binary, "tail")
+        assert _compiled(program, tail)
+
+    def test_unpickled_binary_decodes_lazily(self):
+        binary = _pipeline_binary(0)
+        expected = run_decoded(binary, ARGS)
+        clone = pickle.loads(pickle.dumps(binary))
+        got = run_decoded(clone, ARGS)
+        assert got.return_value == expected.return_value
+        assert got.instructions_retired == expected.instructions_retired
+        program = clone._decoded_cache[(None, False)]
+        original = binary._decoded_cache[(None, False)]
+        assert program.blocks_compiled == original.blocks_compiled
+        assert 0 < program.blocks_compiled < program.n_blocks
+
+    def test_block_compiles_go_through_decode_program(self, monkeypatch):
+        """Each compile is one call of the module attribute, so a wrapper
+        there (the benchmark's decode layer) times all of decode."""
+        calls = []
+        real = decoded.decode_program
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("leader"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decoded, "decode_program", counting)
+        binary = _pipeline_binary(0)
+        run_decoded(binary, ARGS)
+        program = binary._decoded_cache[(None, False)]
+        assert len(calls) == 1 + program.blocks_compiled
+        assert len(set(calls[1:])) == program.blocks_compiled
+
+    def test_decode_ns_counts_every_block(self):
+        binary = link(_dead_code_module())
+        session = telemetry.enable()
+        try:
+            # n = 0 never enters hot's loop body; n = 10 compiles it.  The
+            # cost-model variant inlines no successor blocks.
+            run_decoded(binary, [0], cost_model=CostModel())
+            program = binary._decoded_cache[(None, True)]
+            compiled, decode_ns = program.blocks_compiled, program.decode_ns
+            assert session.counter("hw.decode", "decode_ns") == decode_ns
+            run_decoded(binary, [10], cost_model=CostModel())
+        finally:
+            telemetry.disable()
+        assert program.blocks_compiled == compiled + 1
+        assert program.decode_ns > decode_ns
+        assert session.counter("hw.decode", "decode_ns") == program.decode_ns
+        assert session.counter("hw.decode", "decodes") == 1
+        assert session.counter("hw.decode", "cache_hits") == 1
+        assert (session.counter("hw.decode", "instrs_decoded")
+                == len(binary.instrs))
 
 
 class TestObserverDifferential:
