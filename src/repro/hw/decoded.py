@@ -100,9 +100,9 @@ class _State:
 class DecodedProgram:
     """One observer-specialized decode of a binary.
 
-    ``ops[L]`` is the block function of the block at leader ``L`` once that
-    block has run, and a compiling stub before.  ``decode_ns`` covers the
-    decode pass and every block compiled so far.
+    ``ops[L]`` is a compiling stub until execution first enters the block
+    at leader ``L``, and its block function from then on.  ``decode_ns``
+    covers the decode pass and every block compiled so far.
     """
 
     __slots__ = ("ops", "entry_idx", "key", "decode_ns", "n_instrs",

@@ -15,9 +15,8 @@ import pytest
 
 from repro import telemetry
 from repro.codegen import link
-from repro.hw import decoded
 from repro.hw import (MachineExecutionLimit, MachineExecutor, PMU, PMUConfig,
-                      execute, make_pmu, run_decoded)
+                      decoded, execute, make_pmu, run_decoded)
 from repro.ir import ModuleBuilder, verify_module
 from repro.opt import OptConfig, optimize_module
 from repro.perfmodel import CostModel
@@ -123,12 +122,13 @@ class TestLazyDecode:
         assert _compiled(program, program.entry_idx)
         assert 0 < program.blocks_compiled <= program.n_blocks - len(dead)
 
-    @pytest.mark.parametrize("pebs", [None, True, False])
-    def test_second_run_compiles_nothing(self, pebs):
+    @pytest.mark.parametrize("pmu_mode", [None, "pebs", "skid"])
+    def test_second_run_compiles_nothing(self, pmu_mode):
         binary = _pipeline_binary(0)
 
         def run():
-            pmu = None if pebs is None else make_pmu(PMUConfig(pebs=pebs))
+            pmu = (None if pmu_mode is None
+                   else make_pmu(PMUConfig(pebs=pmu_mode == "pebs")))
             return run_decoded(binary, ARGS, pmu=pmu, cost_model=CostModel())
 
         first = run()
@@ -146,7 +146,8 @@ class TestLazyDecode:
         # ``tail``'s 17-instruction block retires past the budget on its
         # first entry; main's final ret alone would not trip it.
         with pytest.raises(MachineExecutionLimit):
-            execute(binary, [10], max_instructions=full.instructions_retired - 3)
+            execute(binary, [10],
+                    max_instructions=full.instructions_retired - 3)
         program = binary._decoded_cache[(None, False)]
         (tail,) = _leaders(binary, "tail")
         assert _compiled(program, tail)
